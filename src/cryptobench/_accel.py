@@ -1,11 +1,10 @@
-"""Numba acceleration shim for the hot numeric kernels.
+"""Numba acceleration shim for the SVR's SMO sweep.
 
-Kernels (LSTM unroll/backprop, the SMO sweep) are decorated with
-:func:`njit`.  When numba is importable they compile to machine code;
-otherwise, or when ``CRYPTOBENCH_DISABLE_NUMBA`` is set to a truthy
-value, the decorator is a no-op and the same function bodies run as
-plain numpy.  Both paths execute the identical statements, so the
-fallback is a drop-in replacement, just slower.
+The sweep is decorated with :func:`njit`.  When numba is importable it
+compiles to machine code; otherwise, or when ``CRYPTOBENCH_DISABLE_NUMBA``
+is set to a truthy value, the decorator is a no-op and the same function
+body runs as plain numpy.  Both paths execute the identical statements,
+so the fallback is a drop-in replacement, just slower.
 """
 
 import os

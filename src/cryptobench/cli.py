@@ -1,7 +1,8 @@
 """Command-line entry point: prepare / run / compare / fetch.
 
 Exit codes: 0 success, 2 input or validation failure during prepare or
-fetch, 3 model run failure, 4 missing results during compare.
+fetch, 3 model run failure, 4 missing or mismatched results during
+compare.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_MISSING_RESULTS = 4
+
+FETCH_TIMEOUT_S = 30.0
 
 
 def _add_common_flags(parser: argparse.ArgumentParser):
@@ -106,7 +109,8 @@ def _cmd_compare(args) -> int:
     try:
         cfg = resolve_config(args)
         report = pipeline.run_compare(cfg, models=models, subset_ok=args.subset_ok)
-    except (ConfigError, pipeline.MissingArtifactError) as exc:
+    except (ConfigError, pipeline.MissingArtifactError,
+            pipeline.MismatchedResultsError) as exc:
         print(f"compare failed: {exc}", file=sys.stderr)
         return EXIT_MISSING_RESULTS
     print((Path(cfg.out_dir) / "report.txt").read_text(), end="")
@@ -115,7 +119,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_fetch(args) -> int:
     try:
-        with urllib.request.urlopen(args.url) as response:
+        with urllib.request.urlopen(args.url, timeout=FETCH_TIMEOUT_S) as response:
             data = response.read()
         dest = Path(args.input)
         dest.parent.mkdir(parents=True, exist_ok=True)

@@ -1,28 +1,30 @@
 """From-scratch single-layer LSTM regressor trained by BPTT + Adam.
 
-The recurrence uses the x_t . W (row-vector times matrix) convention:
+The recurrence uses the x_t . W (row-vector times matrix) convention with
+the four gates fused in the i, f, g, o column order of cuDNN and PyTorch's
+``nn.LSTM``:
 
-    i_t = sigmoid(x_t.W_ix + h_{t-1}.W_ih + b_i)
-    f_t = sigmoid(x_t.W_fx + h_{t-1}.W_fh + b_f)
-    g_t = tanh   (x_t.W_cx + h_{t-1}.W_ch + b_c)      (candidate cell)
-    o_t = sigmoid(x_t.W_ox + h_{t-1}.W_oh + b_o)
+    [a_i a_f a_g a_o] = x_t.W_x + h_{t-1}.W_h + b     W_x (D, 4H), W_h (H, 4H)
+    i_t = sigmoid(a_i)   f_t = sigmoid(a_f)   g_t = tanh(a_g)   o_t = sigmoid(a_o)
     C_t = f_t * C_{t-1} + i_t * g_t
     h_t = o_t * tanh(C_t)
 
 with a linear scalar head pred = h_T . w_y + b_y and per-sample loss
-(pred - target)^2.  Everything runs in float64; the unroll and the
-reverse pass are numba kernels with a numpy fallback (see ``_accel``).
+(pred - target)^2.  Everything runs in float64 numpy.  One forward pass
+and one reverse pass serve every caller: a minibatch of B windows is
+unrolled as (B, H) matrix products, and the per-sample operations
+(``cell_forward``, ``sequence_forward``, ``bptt_gradients``) run the same
+code with B = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._accel import njit
 from .dataset import WindowedDataset
 
 __all__ = [
@@ -42,6 +44,8 @@ __all__ = [
     "predict_batch",
 ]
 
+# Per-gate names of the weights, in the order ``init_params`` draws them;
+# also the field names of the v1 checkpoint.
 _WEIGHT_FIELDS = (
     "w_ix", "w_fx", "w_cx", "w_ox",
     "w_ih", "w_fh", "w_ch", "w_oh",
@@ -49,86 +53,91 @@ _WEIGHT_FIELDS = (
     "w_y",
 )
 
+# Windows per forward pass in ``predict_batch``; bounds the live (B, 4H)
+# arrays whatever the number of windows.  Predicting 800 windows of 30
+# steps at H = 50 (2-vCPU Xeon, OpenBLAS on 2 threads) took 49 ms and
+# raised peak RSS by 1.4 MB in chunks of 64, against 71 ms and 9.1 MB in
+# one pass; chunks of 128 and 256 were slower than either.
+_PREDICT_CHUNK = 64
 
-@dataclass
+
+def _vector_size(d: int, h: int) -> int:
+    return 4 * h * (d + h + 1) + h + 1
+
+
+def _gate_view(block: str, k: int) -> property:
+    def view(self):
+        h = self.hidden_size
+        return getattr(self, block)[..., k * h:(k + 1) * h]
+
+    return property(view, doc=f"gate {'ifgo'[k]} columns of ``{block}`` (a view)")
+
+
 class LstmParams:
-    """All gate weights plus the scalar output head.
+    """All gate weights plus the scalar output head, in one flat vector.
 
-    Also serves as the container for gradients, which share the layout.
+    ``vec`` is laid out as W_x (D, 4H), W_h (H, 4H), b (4H), w_y (H) and
+    b_y.  ``w_x``, ``w_h``, ``b`` and ``w_y`` are views into it, and so
+    are the per-gate names (``w_ix`` is ``w_x[:, :H]``, ...); writing
+    through any of them updates ``vec``.  Also serves as the container
+    for gradients, which share the layout.
     """
 
-    w_ix: np.ndarray  # (D, H)
-    w_fx: np.ndarray
-    w_cx: np.ndarray
-    w_ox: np.ndarray
-    w_ih: np.ndarray  # (H, H)
-    w_fh: np.ndarray
-    w_ch: np.ndarray
-    w_oh: np.ndarray
-    b_i: np.ndarray  # (H,)
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-    w_y: np.ndarray  # (H,)
-    b_y: float
+    w_ix, w_fx, w_cx, w_ox = (_gate_view("w_x", k) for k in range(4))
+    w_ih, w_fh, w_ch, w_oh = (_gate_view("w_h", k) for k in range(4))
+    b_i, b_f, b_c, b_o = (_gate_view("b", k) for k in range(4))
 
-    def __post_init__(self):
-        d, h = self.w_ix.shape
-        for name in ("w_fx", "w_cx", "w_ox"):
-            if getattr(self, name).shape != (d, h):
-                raise ValueError(f"{name} must have shape {(d, h)}")
-        for name in ("w_ih", "w_fh", "w_ch", "w_oh"):
-            if getattr(self, name).shape != (h, h):
-                raise ValueError(f"{name} must have shape {(h, h)}")
-        for name in ("b_i", "b_f", "b_c", "b_o", "w_y"):
-            if getattr(self, name).shape != (h,):
-                raise ValueError(f"{name} must have shape {(h,)}")
+    def __init__(self, vec: np.ndarray, input_dim: int, hidden_size: int):
+        d, h = input_dim, hidden_size
+        if vec.shape != (_vector_size(d, h),):
+            raise ValueError(f"vector length {vec.size} does not match D={d}, H={h}")
+        self.vec = vec
+        self.input_dim = d
+        self.hidden_size = h
+        wh_start = 4 * d * h
+        b_start = wh_start + 4 * h * h
+        self.w_x = vec[:wh_start].reshape(d, 4 * h)
+        self.w_h = vec[wh_start:b_start].reshape(h, 4 * h)
+        self.b = vec[b_start:b_start + 4 * h]
+        self.w_y = vec[b_start + 4 * h:-1]
 
     @property
-    def input_dim(self) -> int:
-        return self.w_ix.shape[0]
+    def b_y(self) -> float:
+        return float(self.vec[-1])
 
-    @property
-    def hidden_size(self) -> int:
-        return self.w_ix.shape[1]
+    @b_y.setter
+    def b_y(self, value: float):
+        self.vec[-1] = value
 
     @property
     def n_params(self) -> int:
-        return sum(getattr(self, name).size for name in _WEIGHT_FIELDS) + 1
+        return self.vec.size
 
     def to_vector(self) -> np.ndarray:
-        """Flatten all parameters into one float64 vector (fixed field order)."""
-        parts = [getattr(self, name).ravel() for name in _WEIGHT_FIELDS]
-        parts.append(np.array([self.b_y]))
-        return np.concatenate(parts)
+        """A copy of the flat parameter vector."""
+        return self.vec.copy()
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, input_dim: int, hidden_size: int) -> "LstmParams":
-        d, h = input_dim, hidden_size
-        shapes = [(d, h)] * 4 + [(h, h)] * 4 + [(h,)] * 4 + [(h,)]
-        fields = {}
-        pos = 0
-        for name, shape in zip(_WEIGHT_FIELDS, shapes):
-            size = int(np.prod(shape))
-            fields[name] = vec[pos : pos + size].reshape(shape).copy()
-            pos += size
-        b_y = float(vec[pos])
-        pos += 1
-        if pos != vec.size:
-            raise ValueError(f"vector length {vec.size} does not match D={d}, H={h}")
-        return cls(**fields, b_y=b_y)
+        return cls(np.array(vec, dtype=np.float64), input_dim, hidden_size)
+
+    @classmethod
+    def from_fields(cls, fields: Mapping) -> "LstmParams":
+        """Build from the named per-gate arrays of ``_WEIGHT_FIELDS`` plus ``b_y``."""
+        d, h = np.shape(fields["w_ix"])
+        params = cls.zeros(d, h)
+        for name in _WEIGHT_FIELDS:
+            value = np.asarray(fields[name], dtype=np.float64)
+            view = getattr(params, name)
+            if value.shape != view.shape:
+                raise ValueError(f"{name} must have shape {view.shape}")
+            view[...] = value
+        params.b_y = float(fields["b_y"])
+        return params
 
     @classmethod
     def zeros(cls, input_dim: int, hidden_size: int) -> "LstmParams":
-        d, h = input_dim, hidden_size
-        return cls(
-            w_ix=np.zeros((d, h)), w_fx=np.zeros((d, h)),
-            w_cx=np.zeros((d, h)), w_ox=np.zeros((d, h)),
-            w_ih=np.zeros((h, h)), w_fh=np.zeros((h, h)),
-            w_ch=np.zeros((h, h)), w_oh=np.zeros((h, h)),
-            b_i=np.zeros(h), b_f=np.zeros(h), b_c=np.zeros(h), b_o=np.zeros(h),
-            w_y=np.zeros(h), b_y=0.0,
-        )
+        return cls(np.zeros(_vector_size(input_dim, hidden_size)), input_dim, hidden_size)
 
 
 @dataclass
@@ -204,18 +213,125 @@ def init_params(
 ) -> LstmParams:
     """Uniform(-k, k) init with k = 1/sqrt(H); forget bias starts at 1."""
     k = 1.0 / math.sqrt(hidden_size)
+    params = LstmParams.zeros(input_dim, hidden_size)
+    for name in _WEIGHT_FIELDS:
+        if not name.startswith("b_"):
+            view = getattr(params, name)
+            view[...] = rng.uniform(-k, k, size=view.shape)
+    params.b_f[...] = float(forget_bias)
+    return params
 
-    def u(*shape):
-        return rng.uniform(-k, k, size=shape)
 
-    d, h = input_dim, hidden_size
-    return LstmParams(
-        w_ix=u(d, h), w_fx=u(d, h), w_cx=u(d, h), w_ox=u(d, h),
-        w_ih=u(h, h), w_fh=u(h, h), w_ch=u(h, h), w_oh=u(h, h),
-        b_i=np.zeros(h), b_f=np.full(h, float(forget_bias)),
-        b_c=np.zeros(h), b_o=np.zeros(h),
-        w_y=u(h), b_y=0.0,
-    )
+# --- batched kernels ---------------------------------------------------
+# Windows are time-major, xs (T, B, D), so each step reads one contiguous
+# (B, D) slice.
+
+def _gates(act: np.ndarray, h: int):
+    """The i, f, g, o column blocks of a (B, 4H) array, as views."""
+    return act[:, :h], act[:, h:2 * h], act[:, 2 * h:3 * h], act[:, 3 * h:]
+
+
+def _step(x_t, h_prev, c_prev, params: LstmParams):
+    """One cell step for a batch; returns the (B, 4H) gate activations,
+    C_t, tanh(C_t) and h_t."""
+    h = params.hidden_size
+    act = x_t @ params.w_x + h_prev @ params.w_h + params.b
+    g = np.tanh(act[:, 2 * h:3 * h])
+    act = _sigmoid(act)
+    act[:, 2 * h:3 * h] = g
+    i, f, _, o = _gates(act, h)
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return act, c, tc, o * tc
+
+
+def _unroll(xs: np.ndarray, params: LstmParams, keep: bool = False):
+    """Run the cell over time-major windows from a zero state.
+
+    Returns the head output (B,) and, with ``keep``, the lists the reverse
+    pass reads: gate activations and tanh(C_t) per step, and cell and
+    hidden states with the zero initial state first (``cs[t]`` is C_{t-1}).
+    """
+    _, batch, _ = xs.shape
+    h = np.zeros((batch, params.hidden_size))
+    c = np.zeros_like(h)
+    acts, tcs, cs, hs = [], [], [c], [h]
+    for x_t in xs:
+        act, c, tc, h = _step(x_t, h, c, params)
+        if keep:
+            acts.append(act)
+            tcs.append(tc)
+            cs.append(c)
+            hs.append(h)
+    return h @ params.w_y + params.b_y, (acts, tcs, cs, hs)
+
+
+def _batch_grads(xs: np.ndarray, targets: np.ndarray, params: LstmParams):
+    """Mean gradient of the squared error over a batch, plus the mean loss.
+
+    Only gates and states are kept across the window; weight gradients
+    accumulate step by step as h_{t-1}^T . delta_t.
+    """
+    _, batch, d = xs.shape
+    h = params.hidden_size
+    pred, (acts, tcs, cs, hs) = _unroll(xs, params, keep=True)
+    resid = pred - targets
+    dpred = 2.0 * resid
+    grads = LstmParams.zeros(d, h)
+    grads.w_y[...] = dpred @ hs[-1]
+    grads.b_y = dpred.sum()
+
+    w_h_t = np.ascontiguousarray(params.w_h.T)
+    dh = np.outer(dpred, params.w_y)
+    dc = np.zeros_like(dh)
+    da = np.empty((batch, 4 * h))
+    for t in range(len(acts) - 1, -1, -1):
+        act, tc = acts[t], tcs[t]
+        i, f, g, o = _gates(act, h)
+        dc += dh * o * (1.0 - tc * tc)
+        # d loss / d gate activation, times the activation's derivative:
+        # a(1 - a) for the sigmoid gates, 1 - g^2 for the tanh candidate
+        np.concatenate((dc * g, dc * cs[t], dc * i, dh * tc), axis=1, out=da)
+        deriv = act * (1.0 - act)
+        deriv[:, 2 * h:3 * h] = 1.0 - g * g
+        da *= deriv
+        grads.w_x += xs[t].T @ da
+        grads.w_h += hs[t].T @ da
+        grads.b += da.sum(axis=0)
+        dh = da @ w_h_t
+        dc *= f
+
+    inv = 1.0 / batch
+    grads.vec *= inv
+    return grads, float(resid @ resid) * inv
+
+
+def _time_major(inputs) -> np.ndarray:
+    """(n, T) scalar windows or (n, T, D) windows as a contiguous (T, n, D) array."""
+    xs = np.asarray(inputs, dtype=np.float64)
+    if xs.ndim == 2:
+        xs = xs[:, :, np.newaxis]
+    return np.ascontiguousarray(xs.transpose(1, 0, 2))
+
+
+def _as_sequence(window, input_dim: int) -> np.ndarray:
+    """Coerce one window of scalars (or a (T, D) array) to a (T, 1, D) batch."""
+    xs = np.asarray(window, dtype=np.float64)
+    if xs.ndim == 1:
+        xs = xs.reshape(-1, 1)
+    if xs.ndim != 2:
+        raise ValueError("window must be 1-D scalars or a (T, D) array")
+    if xs.shape[0] == 0:
+        raise ValueError("window must not be empty")
+    if xs.shape[1] != input_dim:
+        raise ValueError(f"window feature dim {xs.shape[1]} != input_dim {input_dim}")
+    return xs[:, np.newaxis, :]
+
+
+def _gate_cache(act: np.ndarray, c: np.ndarray, h: int) -> GateCache:
+    i, f, g, o = _gates(act, h)
+    return GateCache(input_gate=i[0], forget_gate=f[0], candidate=g[0],
+                     output_gate=o[0], cell=c[0])
 
 
 def cell_forward(
@@ -229,265 +345,50 @@ def cell_forward(
         )
     if state.h.shape != (params.hidden_size,) or state.c.shape != (params.hidden_size,):
         raise ValueError("state shapes do not match hidden_size")
-
-    i_t = _sigmoid(x_t @ params.w_ix + state.h @ params.w_ih + params.b_i)
-    f_t = _sigmoid(x_t @ params.w_fx + state.h @ params.w_fh + params.b_f)
-    g_t = np.tanh(x_t @ params.w_cx + state.h @ params.w_ch + params.b_c)
-    o_t = _sigmoid(x_t @ params.w_ox + state.h @ params.w_oh + params.b_o)
-    c_t = f_t * state.c + i_t * g_t
-    h_t = o_t * np.tanh(c_t)
-    cache = GateCache(input_gate=i_t, forget_gate=f_t, candidate=g_t,
-                      output_gate=o_t, cell=c_t)
-    return LstmState(h=h_t, c=c_t), cache
-
-
-# --- hot kernels -------------------------------------------------------
-# Shared by training, prediction and the public per-sample ops.  Kept as
-# free functions over raw arrays so numba can compile them; the numpy
-# fallback runs the same statements.
-
-@njit(cache=True)
-def _forward_kernel(xs, w_ix, w_fx, w_cx, w_ox, w_ih, w_fh, w_ch, w_oh,
-                    b_i, b_f, b_c, b_o, w_y, b_y):
-    T = xs.shape[0]
-    H = b_i.shape[0]
-    i_a = np.empty((T, H))
-    f_a = np.empty((T, H))
-    g_a = np.empty((T, H))
-    o_a = np.empty((T, H))
-    c_a = np.empty((T, H))
-    h_a = np.empty((T, H))
-    h = np.zeros(H)
-    c = np.zeros(H)
-    for t in range(T):
-        x = xs[t]
-        i_t = 1.0 / (1.0 + np.exp(-(np.dot(x, w_ix) + np.dot(h, w_ih) + b_i)))
-        f_t = 1.0 / (1.0 + np.exp(-(np.dot(x, w_fx) + np.dot(h, w_fh) + b_f)))
-        g_t = np.tanh(np.dot(x, w_cx) + np.dot(h, w_ch) + b_c)
-        o_t = 1.0 / (1.0 + np.exp(-(np.dot(x, w_ox) + np.dot(h, w_oh) + b_o)))
-        c = f_t * c + i_t * g_t
-        h = o_t * np.tanh(c)
-        i_a[t] = i_t
-        f_a[t] = f_t
-        g_a[t] = g_t
-        o_a[t] = o_t
-        c_a[t] = c
-        h_a[t] = h
-    pred = np.dot(h, w_y) + b_y
-    return pred, i_a, f_a, g_a, o_a, c_a, h_a
-
-
-@njit(cache=True)
-def _backward_kernel(xs, i_a, f_a, g_a, o_a, c_a, h_a,
-                     w_ih, w_fh, w_ch, w_oh, w_y, dpred):
-    T = xs.shape[0]
-    D = xs.shape[1]
-    H = w_y.shape[0]
-    g_w_ix = np.zeros((D, H))
-    g_w_fx = np.zeros((D, H))
-    g_w_cx = np.zeros((D, H))
-    g_w_ox = np.zeros((D, H))
-    g_w_ih = np.zeros((H, H))
-    g_w_fh = np.zeros((H, H))
-    g_w_ch = np.zeros((H, H))
-    g_w_oh = np.zeros((H, H))
-    g_b_i = np.zeros(H)
-    g_b_f = np.zeros(H)
-    g_b_c = np.zeros(H)
-    g_b_o = np.zeros(H)
-    g_w_y = dpred * h_a[T - 1]
-    g_b_y = dpred
-
-    zeros_h = np.zeros(H)
-    dh = dpred * w_y
-    dc = np.zeros(H)
-    for t in range(T - 1, -1, -1):
-        i_t = i_a[t]
-        f_t = f_a[t]
-        g_t = g_a[t]
-        o_t = o_a[t]
-        tc = np.tanh(c_a[t])
-        if t > 0:
-            c_prev = c_a[t - 1]
-            h_prev = h_a[t - 1]
-        else:
-            c_prev = zeros_h
-            h_prev = zeros_h
-
-        do = dh * tc
-        dc = dc + dh * o_t * (1.0 - tc * tc)
-        df = dc * c_prev
-        di = dc * g_t
-        dg = dc * i_t
-
-        da_i = di * i_t * (1.0 - i_t)
-        da_f = df * f_t * (1.0 - f_t)
-        da_c = dg * (1.0 - g_t * g_t)
-        da_o = do * o_t * (1.0 - o_t)
-
-        x = xs[t]
-        g_w_ix += np.outer(x, da_i)
-        g_w_fx += np.outer(x, da_f)
-        g_w_cx += np.outer(x, da_c)
-        g_w_ox += np.outer(x, da_o)
-        g_w_ih += np.outer(h_prev, da_i)
-        g_w_fh += np.outer(h_prev, da_f)
-        g_w_ch += np.outer(h_prev, da_c)
-        g_w_oh += np.outer(h_prev, da_o)
-        g_b_i += da_i
-        g_b_f += da_f
-        g_b_c += da_c
-        g_b_o += da_o
-
-        dh = (np.dot(w_ih, da_i) + np.dot(w_fh, da_f)
-              + np.dot(w_ch, da_c) + np.dot(w_oh, da_o))
-        dc = dc * f_t
-
-    return (g_w_ix, g_w_fx, g_w_cx, g_w_ox, g_w_ih, g_w_fh, g_w_ch, g_w_oh,
-            g_b_i, g_b_f, g_b_c, g_b_o, g_w_y, g_b_y)
-
-
-@njit(cache=True)
-def _batch_grads_kernel(xs_batch, targets,
-                        w_ix, w_fx, w_cx, w_ox, w_ih, w_fh, w_ch, w_oh,
-                        b_i, b_f, b_c, b_o, w_y, b_y):
-    """Mean gradient of the squared error over a batch, plus mean loss."""
-    B = xs_batch.shape[0]
-    D = xs_batch.shape[2]
-    H = b_i.shape[0]
-    a_w_ix = np.zeros((D, H))
-    a_w_fx = np.zeros((D, H))
-    a_w_cx = np.zeros((D, H))
-    a_w_ox = np.zeros((D, H))
-    a_w_ih = np.zeros((H, H))
-    a_w_fh = np.zeros((H, H))
-    a_w_ch = np.zeros((H, H))
-    a_w_oh = np.zeros((H, H))
-    a_b_i = np.zeros(H)
-    a_b_f = np.zeros(H)
-    a_b_c = np.zeros(H)
-    a_b_o = np.zeros(H)
-    a_w_y = np.zeros(H)
-    a_b_y = 0.0
-    loss = 0.0
-    for k in range(B):
-        xs = xs_batch[k]
-        pred, i_a, f_a, g_a, o_a, c_a, h_a = _forward_kernel(
-            xs, w_ix, w_fx, w_cx, w_ox, w_ih, w_fh, w_ch, w_oh,
-            b_i, b_f, b_c, b_o, w_y, b_y)
-        resid = pred - targets[k]
-        loss += resid * resid
-        grads = _backward_kernel(xs, i_a, f_a, g_a, o_a, c_a, h_a,
-                                 w_ih, w_fh, w_ch, w_oh, w_y, 2.0 * resid)
-        a_w_ix += grads[0]
-        a_w_fx += grads[1]
-        a_w_cx += grads[2]
-        a_w_ox += grads[3]
-        a_w_ih += grads[4]
-        a_w_fh += grads[5]
-        a_w_ch += grads[6]
-        a_w_oh += grads[7]
-        a_b_i += grads[8]
-        a_b_f += grads[9]
-        a_b_c += grads[10]
-        a_b_o += grads[11]
-        a_w_y += grads[12]
-        a_b_y += grads[13]
-    inv = 1.0 / B
-    return (a_w_ix * inv, a_w_fx * inv, a_w_cx * inv, a_w_ox * inv,
-            a_w_ih * inv, a_w_fh * inv, a_w_ch * inv, a_w_oh * inv,
-            a_b_i * inv, a_b_f * inv, a_b_c * inv, a_b_o * inv,
-            a_w_y * inv, a_b_y * inv, loss * inv)
-
-
-@njit(cache=True)
-def _predict_batch_kernel(xs_batch,
-                          w_ix, w_fx, w_cx, w_ox, w_ih, w_fh, w_ch, w_oh,
-                          b_i, b_f, b_c, b_o, w_y, b_y):
-    B = xs_batch.shape[0]
-    preds = np.empty(B)
-    for k in range(B):
-        pred, i_a, f_a, g_a, o_a, c_a, h_a = _forward_kernel(
-            xs_batch[k], w_ix, w_fx, w_cx, w_ox, w_ih, w_fh, w_ch, w_oh,
-            b_i, b_f, b_c, b_o, w_y, b_y)
-        preds[k] = pred
-    return preds
-
-
-def _param_arrays(p: LstmParams):
-    return (p.w_ix, p.w_fx, p.w_cx, p.w_ox, p.w_ih, p.w_fh, p.w_ch, p.w_oh,
-            p.b_i, p.b_f, p.b_c, p.b_o, p.w_y, p.b_y)
-
-
-def _as_sequence(window) -> np.ndarray:
-    """Coerce a window of scalars (or an already (T, D) array) to (T, D)."""
-    xs = np.ascontiguousarray(window, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
-    if xs.ndim != 2:
-        raise ValueError("window must be 1-D scalars or a (T, D) array")
-    if xs.shape[0] == 0:
-        raise ValueError("window must not be empty")
-    return xs
+    act, c, _, h = _step(x_t[np.newaxis], state.h[np.newaxis], state.c[np.newaxis], params)
+    return LstmState(h=h[0], c=c[0]), _gate_cache(act, c, params.hidden_size)
 
 
 def sequence_forward(window, params: LstmParams) -> tuple[float, list[GateCache]]:
     """Unroll the cell over the window from a zero state and apply the head."""
-    xs = _as_sequence(window)
-    if xs.shape[1] != params.input_dim:
-        raise ValueError(
-            f"window feature dim {xs.shape[1]} != input_dim {params.input_dim}"
-        )
-    pred, i_a, f_a, g_a, o_a, c_a, h_a = _forward_kernel(xs, *_param_arrays(params))
-    caches = [
-        GateCache(input_gate=i_a[t], forget_gate=f_a[t], candidate=g_a[t],
-                  output_gate=o_a[t], cell=c_a[t])
-        for t in range(xs.shape[0])
-    ]
-    return float(pred), caches
+    xs = _as_sequence(window, params.input_dim)
+    pred, (acts, _, cs, _) = _unroll(xs, params, keep=True)
+    caches = [_gate_cache(act, c, params.hidden_size) for act, c in zip(acts, cs[1:])]
+    return float(pred[0]), caches
 
 
 def bptt_gradients(window, target: float, params: LstmParams) -> LstmParams:
     """Exact gradient of (prediction - target)^2 w.r.t. every parameter."""
-    xs = _as_sequence(window)
-    if xs.shape[1] != params.input_dim:
-        raise ValueError(
-            f"window feature dim {xs.shape[1]} != input_dim {params.input_dim}"
-        )
-    pred, i_a, f_a, g_a, o_a, c_a, h_a = _forward_kernel(xs, *_param_arrays(params))
-    dpred = 2.0 * (float(pred) - float(target))
-    grads = _backward_kernel(xs, i_a, f_a, g_a, o_a, c_a, h_a,
-                             params.w_ih, params.w_fh, params.w_ch, params.w_oh,
-                             params.w_y, dpred)
-    names = dict(zip(_WEIGHT_FIELDS, grads[:13]))
-    return LstmParams(**names, b_y=float(grads[13]))
+    xs = _as_sequence(window, params.input_dim)
+    grads, _ = _batch_grads(xs, np.array([float(target)]), params)
+    return grads
 
 
 def adam_step(
     params: LstmParams, grads: LstmParams, state: AdamState
 ) -> tuple[LstmParams, AdamState]:
     """One Adam update with bias-corrected moments; returns new objects."""
-    theta = params.to_vector()
-    g = grads.to_vector()
-    if g.shape != theta.shape:
+    g = grads.vec
+    if g.shape != params.vec.shape:
         raise ValueError("gradient layout does not match parameter layout")
     t = state.t + 1
     m = state.beta1 * state.m + (1.0 - state.beta1) * g
     v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
     m_hat = m / (1.0 - state.beta1 ** t)
     v_hat = v / (1.0 - state.beta2 ** t)
-    theta = theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_params = LstmParams.from_vector(theta, params.input_dim, params.hidden_size)
-    new_state = replace(state, m=m, v=v, t=t)
-    return new_params, new_state
+    theta = params.vec - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    new_params = LstmParams(theta, params.input_dim, params.hidden_size)
+    return new_params, replace(state, m=m, v=v, t=t)
 
 
 def predict_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
     """Head output for each window in ``inputs`` (n, W) or (n, W, D)."""
-    xs = np.ascontiguousarray(inputs, dtype=np.float64)
-    if xs.ndim == 2:
-        xs = xs[:, :, np.newaxis]
-    return _predict_batch_kernel(xs, *_param_arrays(params))
+    xs = _time_major(inputs)
+    preds = np.empty(xs.shape[1])
+    for start in range(0, len(preds), _PREDICT_CHUNK):
+        stop = start + _PREDICT_CHUNK
+        preds[start:stop] = _unroll(xs[:, start:stop], params)[0]
+    return preds
 
 
 def _dataset_mse(params: LstmParams, data: WindowedDataset) -> float:
@@ -508,8 +409,8 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
                            beta1=hyper.beta1, beta2=hyper.beta2,
                            eps=hyper.adam_eps)
 
-    xs_all = np.ascontiguousarray(data.inputs, dtype=np.float64)[:, :, np.newaxis]
-    ys_all = np.ascontiguousarray(data.targets, dtype=np.float64)
+    xs_all = _time_major(data.inputs)
+    ys_all = np.asarray(data.targets, dtype=np.float64)
     n = len(data)
     batch = max(1, hyper.batch_size)
 
@@ -518,11 +419,8 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
     history: list[TrainRecord] = []
     for epoch in range(1, epochs + 1):
         for start in range(0, n, batch):
-            stop = min(start + batch, n)
-            out = _batch_grads_kernel(xs_all[start:stop], ys_all[start:stop],
-                                      *_param_arrays(params))
-            grad_fields = dict(zip(_WEIGHT_FIELDS, out[:13]))
-            grads = LstmParams(**grad_fields, b_y=float(out[13]))
+            stop = start + batch
+            grads, _ = _batch_grads(xs_all[:, start:stop], ys_all[start:stop], params)
             params, adam = adam_step(params, grads, adam)
         history.append(TrainRecord(
             epoch=epoch,
@@ -530,8 +428,8 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
             test_mse=_dataset_mse(params, test),
         ))
         if epoch in wanted:
-            snapshots[epoch] = LstmParams.from_vector(
-                params.to_vector(), params.input_dim, params.hidden_size)
+            # adam_step returns fresh parameters, so this one stays as is
+            snapshots[epoch] = params
     return params, history, snapshots
 
 
@@ -572,6 +470,4 @@ def epoch_grid(
     top = max(counts)
     _, history, snapshots = _train_loop(data, test, top, seed, hyper,
                                         sorted(set(counts)))
-    by_epoch = {rec.epoch: rec for rec in history}
-    rows = [(e, by_epoch[e].test_mse) for e in counts]
-    return rows, snapshots, history
+    return [(e, history[e - 1].test_mse) for e in counts], snapshots, history

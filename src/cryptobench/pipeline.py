@@ -40,6 +40,7 @@ from . import svr as svr_mod
 __all__ = [
     "PipelineError",
     "MissingArtifactError",
+    "MismatchedResultsError",
     "PreparedData",
     "prepare",
     "run_model",
@@ -62,6 +63,10 @@ class PipelineError(RuntimeError):
 
 class MissingArtifactError(PipelineError):
     pass
+
+
+class MismatchedResultsError(PipelineError):
+    """Result files to compare come from different datasets or configs."""
 
 
 def _fmt(value) -> str:
@@ -445,6 +450,13 @@ def run_compare(cfg: RunConfig, models=MODEL_NAMES, subset_ok: bool = False) -> 
             + " (pass --subset-ok to compare what exists)")
     if not available:
         raise MissingArtifactError("no model results found to compare")
+    for key in ("dataset_fingerprint", "config_hash"):
+        values = {name: payload[key] for name, payload in available.items()}
+        if len(set(values.values())) > 1:
+            raise MismatchedResultsError(
+                f"results disagree on {key}: "
+                + ", ".join(f"{name}={value}" for name, value in values.items())
+                + " (rerun the models against one prepare and config)")
 
     results = [
         evaluation.ModelResult(
@@ -505,13 +517,7 @@ def load_lstm_checkpoint(path: str | Path):
     payload = _read_json(Path(path))
     if payload.get("kind") != "lstm":
         raise PipelineError(f"{path} is not an LSTM checkpoint")
-    params_raw = payload["params"]
-    fields = {
-        name: np.array(params_raw[name], dtype=np.float64)
-        for name in lstm_mod._WEIGHT_FIELDS
-    }
-    params = lstm_mod.LstmParams(**fields, b_y=float(params_raw["b_y"]))
-    return params, payload
+    return lstm_mod.LstmParams.from_fields(payload["params"]), payload
 
 
 def load_svr_model(path: str | Path):

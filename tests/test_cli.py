@@ -1,5 +1,7 @@
 import http.server
+import io
 import json
+import shutil
 import threading
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import cryptobench
-from cryptobench import pipeline
+from cryptobench import cli, pipeline
 from cryptobench.cli import main
 from cryptobench.config import RunConfig, load_config
 from cryptobench.dataset import make_windows
@@ -234,6 +236,22 @@ class TestCompare:
         header, rows = read_table(Path(out) / "comparison.csv")
         assert sorted(r[0] for r in rows) == ["poly", "svr"]
 
+    @pytest.mark.parametrize("key", ["dataset_fingerprint", "config_hash"])
+    def test_mismatched_results_exit_4(self, full_run, tmp_path, key, capsys):
+        out, base = full_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "report.json").unlink(missing_ok=True)
+        path = copy / "svr_result.json"
+        payload = json.loads(path.read_text())
+        payload[key] = "0" * 16
+        path.write_text(json.dumps(payload))
+        args = [*base[:-4], "--out-dir", str(copy), *base[-2:]]
+        assert main(["compare", *args]) == 4
+        err = capsys.readouterr().err
+        assert key in err and "svr=" + "0" * 16 in err
+        assert not (copy / "report.json").exists()
+
     def test_unknown_model_name(self, full_run, capsys):
         _, base = full_run
         assert main(["compare", *base, "--models", "arima"]) == 4
@@ -276,6 +294,20 @@ class TestFetch:
             assert main(["prepare", "--input", str(dest), "--out-dir", str(out)]) == 0
         finally:
             server.shutdown()
+
+    def test_fetch_passes_timeout(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_urlopen(url, timeout=None):
+            calls.append((url, timeout))
+            return io.BytesIO(b"Date,Close\n")
+
+        monkeypatch.setattr(cli.urllib.request, "urlopen", fake_urlopen)
+        dest = tmp_path / "x.csv"
+        assert main(["fetch", "--url", "http://example.invalid/x.csv",
+                     "--input", str(dest)]) == 0
+        assert calls == [("http://example.invalid/x.csv", cli.FETCH_TIMEOUT_S)]
+        assert dest.read_bytes() == b"Date,Close\n"
 
     def test_fetch_bad_url_exits_2(self, tmp_path, capsys):
         dest = tmp_path / "x.csv"

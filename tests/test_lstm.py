@@ -177,20 +177,46 @@ class TestBpttGradients:
         rng = np.random.default_rng(6)
         inputs = rng.normal(size=(5, 6))
         targets = rng.normal(size=5)
-        out = lstm._batch_grads_kernel(
-            np.ascontiguousarray(inputs)[:, :, np.newaxis],
-            np.ascontiguousarray(targets),
-            *lstm._param_arrays(p))
-        batch_vec = LstmParams(
-            **dict(zip(lstm._WEIGHT_FIELDS, out[:13])), b_y=float(out[13])
-        ).to_vector()
+        grads, loss = lstm._batch_grads(lstm._time_major(inputs), targets, p)
         per_sample = np.mean(
             [bptt_gradients(inputs[k], targets[k], p).to_vector() for k in range(5)],
             axis=0)
-        np.testing.assert_allclose(batch_vec, per_sample, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grads.to_vector(), per_sample, rtol=1e-12, atol=1e-15)
         preds = lstm.predict_batch(p, inputs)
         expected_loss = float(np.mean((preds - targets) ** 2))
-        np.testing.assert_allclose(float(out[14]), expected_loss, rtol=1e-12)
+        np.testing.assert_allclose(loss, expected_loss, rtol=1e-12)
+
+    def test_ragged_final_batch(self):
+        # 37 windows in batches of 32 leave a final batch of 5
+        p = random_params(1, 6, seed=13)
+        rng = np.random.default_rng(37)
+        inputs = rng.normal(size=(37, 8))
+        targets = rng.normal(size=37)
+        xs = lstm._time_major(inputs)
+        for start in (0, 32):
+            batch = slice(start, start + 32)
+            grads, loss = lstm._batch_grads(xs[:, batch], targets[batch], p)
+            preds = [sequence_forward(window, p)[0] for window in inputs[batch]]
+            expected_loss = float(np.mean((np.array(preds) - targets[batch]) ** 2))
+            np.testing.assert_allclose(loss, expected_loss, rtol=1e-12)
+            per_sample = np.mean(
+                [bptt_gradients(window, target, p).to_vector()
+                 for window, target in zip(inputs[batch], targets[batch])], axis=0)
+            np.testing.assert_allclose(grads.to_vector(), per_sample,
+                                       rtol=1e-12, atol=1e-15)
+
+
+class TestPredictBatch:
+    def test_chunked_prediction_matches_per_window(self):
+        n = 2 * lstm._PREDICT_CHUNK + 5
+        p = random_params(1, 5, seed=23)
+        inputs = np.random.default_rng(29).normal(size=(n, 7))
+        preds = lstm.predict_batch(p, inputs)
+        expected = [sequence_forward(inputs[k], p)[0] for k in range(n)]
+        assert preds.shape == (n,)
+        # the head sums terms of order 0.1, so a prediction near zero
+        # carries ~1e-18 absolute rounding that rtol alone would magnify
+        np.testing.assert_allclose(preds, expected, rtol=1e-12, atol=1e-15)
 
 
 class TestAdam:
@@ -292,17 +318,3 @@ class TestEpochGrid:
             np.testing.assert_array_equal(
                 snapshots[count].to_vector(), model.to_vector())
 
-
-from cryptobench._accel import NUMBA_ENABLED
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled")
-class TestKernelParity:
-    def test_forward_kernel_matches_python_body(self):
-        p = random_params(1, 5, seed=4)
-        xs = np.ascontiguousarray(np.random.default_rng(1).normal(size=(6, 1)))
-        jit_out = lstm._forward_kernel(xs, *lstm._param_arrays(p))
-        py_out = lstm._forward_kernel.py_func(xs, *lstm._param_arrays(p))
-        np.testing.assert_allclose(jit_out[0], py_out[0], rtol=1e-12)
-        for a, b in zip(jit_out[1:], py_out[1:]):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
