@@ -364,6 +364,8 @@ def _run_svr(cfg: RunConfig, out: Path, prepared: PreparedData) -> dict:
         "dual_coefs": model.dual_coefs.tolist(),
         "scaler": {"min": prepared.scaler.min, "max": prepared.scaler.max},
         "converged": model.converged,
+        "n_iter": model.n_iter,
+        "kkt_violation": model.kkt_violation,
     })
 
     summary = {
@@ -534,6 +536,8 @@ def load_svr_model(path: str | Path):
         bias=float(payload["bias"]),
         kernel=spec,
         converged=bool(payload.get("converged", True)),
+        n_iter=int(payload.get("n_iter", 0)),
+        kkt_violation=float(payload.get("kkt_violation", 0.0)),
     )
     return model, payload
 

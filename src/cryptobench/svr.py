@@ -9,7 +9,7 @@ by SMO-style pairwise updates: each step picks the maximal violating
 pair (first-order working-set selection) and solves the two-variable
 subproblem exactly by enumerating the breakpoints of its piecewise
 quadratic.  Pair moves preserve the equality constraint, so feasibility
-holds throughout.  The sweep loop is a numba kernel (see ``_accel``).
+holds throughout.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from ._accel import njit
 
 __all__ = [
     "KernelSpec",
@@ -143,72 +141,88 @@ def gram_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
     return np.tanh(spec.gamma * inner + spec.coef0)
 
 
-@njit(cache=True)
+def _margins(c_bound):
+    """Tolerances that treat rounding residue as sitting on a bound or kink.
+
+    Pair updates leave entries within ~1e-13 of a box bound or of the L1
+    kink at zero.  Those must count as exactly at the bound/kink during
+    selection, otherwise they are re-selected forever with only phantom
+    room to move.
+    """
+    return 1e-10 * max(1.0, c_bound), 1e-12 * max(1.0, c_bound)
+
+
 def _smo_solve(K, y, c_bound, eps, tol, max_iter):
     """Pairwise maximal-violation descent on the beta-form dual.
 
     Returns (beta, n_iter, violation, converged).  beta starts at zero
     and every pair move keeps sum(beta) exactly zero and each entry in
     [-C, C].
+
+    Each iteration is O(n) vector work.  The selection scores are
+    ``g + a_up`` and ``g + a_down`` with ``g = F - y``; the offsets hold
+    the L1 sign term (+-eps) and mask entries at their box bound with
+    +-inf, so only the two moved entries change per step.  The first
+    occurrence that ``argmin``/``argmax`` return is the strict-comparison
+    scan order, and the pair subproblem runs on Python floats, so the
+    iterates match the scalar reference in ``tests/oracles.py`` bit for
+    bit.
     """
     n = y.shape[0]
-    beta = np.zeros(n)
+    bound_margin, zero_margin = _margins(c_bound)
+    upper = c_bound - bound_margin
+    lower = -c_bound + bound_margin
+    inf = float("inf")
+
+    def up_offset(b):
+        if not b < upper:
+            return inf
+        return eps if b >= -zero_margin else -eps
+
+    def down_offset(b):
+        if not b > lower:
+            return -inf
+        return eps if b > zero_margin else -eps
+
+    beta = [0.0] * n
+    a_up = np.full(n, up_offset(0.0))
+    a_down = np.full(n, down_offset(0.0))
+    Kt = np.ascontiguousarray(K.T)  # Kt[i] is column i of K
+    diag = K.diagonal().tolist()
     F = np.zeros(n)  # K @ beta, maintained incrementally
-    # Rounding residue from pair updates leaves entries within ~1e-13 of
-    # a box bound or of the L1 kink at zero.  Those must be treated as
-    # exactly at the bound/kink during selection, otherwise they are
-    # re-selected forever with only phantom room to move.
-    bound_margin = 1e-10 * max(1.0, c_bound)
-    zero_margin = 1e-12 * max(1.0, c_bound)
+    g = np.empty(n)
+    up = np.empty(n)
+    down = np.empty(n)
+    step = np.empty(n)
     it = 0
-    converged = False
-    violation = np.inf
     while True:
         # first-order working-set selection: the steepest feasible
         # increase candidate and decrease candidate
-        min_up = np.inf
-        i_up = -1
-        max_down = -np.inf
-        i_down = -1
-        for k in range(n):
-            g = F[k] - y[k]
-            if beta[k] < c_bound - bound_margin:
-                up = g + (eps if beta[k] >= -zero_margin else -eps)
-                if up < min_up:
-                    min_up = up
-                    i_up = k
-            if beta[k] > -c_bound + bound_margin:
-                down = g + (eps if beta[k] > zero_margin else -eps)
-                if down > max_down:
-                    max_down = down
-                    i_down = k
+        np.subtract(F, y, out=g)
+        np.add(g, a_up, out=up)
+        np.add(g, a_down, out=down)
+        i = int(up.argmin())
+        j = int(down.argmax())
+        min_up = up.item(i)
+        max_down = down.item(j)
         violation = max_down - min_up
-        if i_up < 0 or i_down < 0 or i_up == i_down or violation <= tol:
-            converged = True
-            break
+        if min_up == inf or max_down == -inf or i == j or violation <= tol:
+            return np.array(beta), it, violation, True
         if it >= max_iter:
-            break
-        i = i_up
-        j = i_down
+            return np.array(beta), it, violation, False
         bi = beta[i]
         bj = beta[j]
         # move delta from j to i; J restricted to the move is piecewise
         # quadratic in delta with kinks where beta_i or beta_j crosses 0
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        g0 = (F[i] - y[i]) - (F[j] - y[j])
+        eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
+        g0 = g.item(i) - g.item(j)
         lo = max(-c_bound - bi, bj - c_bound)
         hi = min(c_bound - bi, bj + c_bound)
 
-        cands = np.empty(7)
-        n_c = 0
-        cands[n_c] = lo
-        n_c += 1
-        cands[n_c] = hi
-        n_c += 1
+        cands = [lo, hi]
         for brk in (-bi, bj):
             if lo < brk < hi:
-                cands[n_c] = brk
-                n_c += 1
+                cands.append(brk)
         # interior vertex of each smooth piece (eta > 0 makes pieces convex)
         if eta > 1e-300:
             for s1 in (-1.0, 1.0):
@@ -218,14 +232,12 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
                         # keep only vertices lying on their own piece
                         sign_i = 1.0 if bi + d >= 0.0 else -1.0
                         sign_j = 1.0 if bj - d > 0.0 else -1.0
-                        if sign_i == s1 and sign_j == s2 and n_c < 7:
-                            cands[n_c] = d
-                            n_c += 1
+                        if sign_i == s1 and sign_j == s2 and len(cands) < 7:
+                            cands.append(d)
 
         best_delta = 0.0
         best_change = 0.0
-        for kc in range(n_c):
-            d = cands[kc]
+        for d in cands:
             change = (d * g0 + 0.5 * eta * d * d
                       + eps * (abs(bi + d) - abs(bi) + abs(bj - d) - abs(bj)))
             if change < best_change:
@@ -233,13 +245,17 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
                 best_delta = d
         if best_change >= -1e-15:
             # numerically stalled (possible for indefinite kernels)
-            break
-        beta[i] = bi + best_delta
-        beta[j] = bj - best_delta
-        for k in range(n):
-            F[k] += best_delta * (K[k, i] - K[k, j])
+            return np.array(beta), it, violation, False
+        beta[i] = bi = bi + best_delta
+        beta[j] = bj = bj - best_delta
+        a_up[i] = up_offset(bi)
+        a_down[i] = down_offset(bi)
+        a_up[j] = up_offset(bj)
+        a_down[j] = down_offset(bj)
+        np.subtract(Kt[i], Kt[j], out=step)
+        np.multiply(step, best_delta, out=step)
+        F += step
         it += 1
-    return beta, it, violation, converged
 
 
 def dual_objective(K, y, beta, epsilon: float) -> float:
@@ -252,8 +268,7 @@ def dual_objective(K, y, beta, epsilon: float) -> float:
 
 def _compute_bias(F, y, beta, c_bound, eps):
     """Average over unbounded support vectors, else the KKT-window midpoint."""
-    zero_margin = 1e-12 * max(1.0, c_bound)
-    bound_margin = 1e-10 * max(1.0, c_bound)
+    bound_margin, zero_margin = _margins(c_bound)
     interior = (np.abs(beta) > zero_margin) & (np.abs(beta) < c_bound - bound_margin)
     if np.any(interior):
         estimates = y[interior] - F[interior] - eps * np.sign(beta[interior])

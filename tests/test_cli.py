@@ -56,6 +56,14 @@ def full_run(tmp_path_factory, small_ini):
     return out, base
 
 
+def _private_copy(full_run, tmp_path):
+    """Copy of the shared run for a test that writes into its out-dir."""
+    out, base = full_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    return copy, [*base[:-4], "--out-dir", str(copy), *base[-2:]]
+
+
 def read_table(path):
     rows = []
     header = None
@@ -138,6 +146,14 @@ class TestRun:
         assert len(rows) == 4  # 2 kernels x 1 gamma x 2 Cs
         best = json.loads((Path(out) / "svr_best.json").read_text())
         assert best["kernel"] in ("linear", "rbf")
+        model = json.loads((Path(out) / "svr_model.json").read_text())
+        assert isinstance(model["n_iter"], int) and model["n_iter"] > 0
+        assert isinstance(model["kkt_violation"], float)
+        if model["converged"]:
+            assert model["kkt_violation"] <= RunConfig().svr_tol
+        loaded, _ = pipeline.load_svr_model(Path(out) / "svr_model.json")
+        assert loaded.n_iter == model["n_iter"]
+        assert loaded.kkt_violation == model["kkt_violation"]
 
     def test_lstm_outputs(self, full_run):
         out, _ = full_run
@@ -181,6 +197,15 @@ class TestCheckpointRoundTrips:
         stored = [p["predicted"] for p in result["predictions"]]
         np.testing.assert_array_equal(preds_raw, stored)
 
+    def test_svr_model_without_diagnostics_loads(self, full_run, tmp_path):
+        out, _ = full_run
+        payload = json.loads((Path(out) / "svr_model.json").read_text())
+        del payload["n_iter"], payload["kkt_violation"]
+        path = tmp_path / "svr_model.json"
+        path.write_text(json.dumps(payload))
+        model, _ = pipeline.load_svr_model(path)
+        assert model.n_iter == 0 and model.kkt_violation == 0.0
+
     def test_poly_model_reproduces_predictions(self, full_run):
         out, _ = full_run
         model, meta = pipeline.load_poly_model(Path(out) / "poly_model.json")
@@ -194,8 +219,8 @@ class TestCheckpointRoundTrips:
 
 
 class TestCompare:
-    def test_full_comparison(self, full_run, capsys):
-        out, base = full_run
+    def test_full_comparison(self, full_run, tmp_path, capsys):
+        out, base = _private_copy(full_run, tmp_path)
         assert main(["compare", *base]) == 0
         printed = capsys.readouterr().out
         assert "winner:" in printed
@@ -230,23 +255,19 @@ class TestCompare:
         assert len(rows) == 1
         assert rows[0][0] == "poly"
 
-    def test_models_flag_restricts_selection(self, full_run):
-        out, base = full_run
+    def test_models_flag_restricts_selection(self, full_run, tmp_path):
+        out, base = _private_copy(full_run, tmp_path)
         assert main(["compare", *base, "--models", "poly,svr"]) == 0
         header, rows = read_table(Path(out) / "comparison.csv")
         assert sorted(r[0] for r in rows) == ["poly", "svr"]
 
     @pytest.mark.parametrize("key", ["dataset_fingerprint", "config_hash"])
     def test_mismatched_results_exit_4(self, full_run, tmp_path, key, capsys):
-        out, base = full_run
-        copy = tmp_path / "out"
-        shutil.copytree(out, copy)
-        (copy / "report.json").unlink(missing_ok=True)
+        copy, args = _private_copy(full_run, tmp_path)
         path = copy / "svr_result.json"
         payload = json.loads(path.read_text())
         payload[key] = "0" * 16
         path.write_text(json.dumps(payload))
-        args = [*base[:-4], "--out-dir", str(copy), *base[-2:]]
         assert main(["compare", *args]) == 4
         err = capsys.readouterr().err
         assert key in err and "svr=" + "0" * 16 in err

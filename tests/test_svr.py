@@ -20,7 +20,7 @@ from cryptobench.svr import (
     predict_batch,
 )
 
-from oracles import qp_reference_solve
+from oracles import qp_reference_solve, smo_reference_solve
 
 RBF_E_MINUS_1 = 0.36787944117144233  # exp(-0.1 * 10)
 
@@ -166,6 +166,58 @@ class TestFit:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit(np.array([[1.0]]), np.array([2.0]), SvrConfig(kernel=KernelSpec("linear")))
+
+
+def time_feature_series(n, seed):
+    """Min-max scaled random walk against t in [0, 1], like the sample run."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.normal(size=n))
+    y = (walk - walk.min()) / (walk.max() - walk.min())
+    return (np.arange(n) / (n - 1)).reshape(-1, 1), y
+
+
+class TestSmoMatchesScalarReference:
+    """The vectorized sweep reproduces the scalar loop bit for bit."""
+
+    def _assert_identical(self, X, y, spec, c, epsilon=0.1, tol=1e-3, max_iter=None):
+        K = np.ascontiguousarray(gram_matrix(spec, X))
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        max_iter = 100 * len(y) if max_iter is None else max_iter
+        args = (K, y, float(c), float(epsilon), float(tol), int(max_iter))
+        beta, n_iter, violation, converged = svr._smo_solve(*args)
+        ref_beta, ref_n_iter, ref_violation, ref_converged = smo_reference_solve(*args)
+        assert np.array_equal(beta, ref_beta)
+        assert n_iter == ref_n_iter
+        assert violation == ref_violation
+        assert converged == ref_converged
+        return n_iter, converged
+
+    @pytest.mark.parametrize("n", [38, 48])
+    def test_capped_rbf_high_c(self, n):
+        X, y = time_feature_series(n, seed=0)
+        n_iter, converged = self._assert_identical(X, y, KernelSpec("rbf", gamma=1.0), c=1000.0)
+        assert not converged and n_iter == 100 * n
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_linear_and_sigmoid(self, seed):
+        for kind, gamma in (("linear", 1.0), ("sigmoid", 0.2)):
+            X, y, spec = random_instance(seed, n=12, kind=kind, gamma=gamma)
+            for c in (1.0, 100.0):
+                self._assert_identical(X, y, spec, c=c, epsilon=0.05, tol=1e-6)
+
+    def test_tiny_max_iter(self):
+        X, y, spec = random_instance(3, n=10, kind="rbf", gamma=1.0)
+        for max_iter in (0, 1, 3):
+            n_iter, converged = self._assert_identical(
+                X, y, spec, c=100.0, epsilon=0.0, tol=1e-12, max_iter=max_iter)
+            assert n_iter == max_iter and not converged
+
+    def test_duplicated_rows_force_ties(self):
+        X, y = time_feature_series(15, seed=4)
+        X = np.concatenate([X, X, X[::2]])
+        y = np.concatenate([y, y, y[::2]])
+        for kind in ("rbf", "linear"):
+            self._assert_identical(X, y, KernelSpec(kind, gamma=1.0), c=10.0)
 
 
 class TestPredict:
