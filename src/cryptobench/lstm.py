@@ -235,7 +235,9 @@ def _step(x_t, h_prev, c_prev, params: LstmParams):
     """One cell step for a batch; returns the (B, 4H) gate activations,
     C_t, tanh(C_t) and h_t."""
     h = params.hidden_size
-    act = x_t @ params.w_x + h_prev @ params.w_h + params.b
+    # np.dot, not @: with one input feature (D = 1) numpy's matmul takes a
+    # slow path for (B, 1) @ (1, 4H); np.dot gives the same bits ~4x faster
+    act = np.dot(x_t, params.w_x) + h_prev @ params.w_h + params.b
     g = np.tanh(act[:, 2 * h:3 * h])
     act = _sigmoid(act)
     act[:, 2 * h:3 * h] = g

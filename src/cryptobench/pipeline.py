@@ -336,6 +336,8 @@ def _run_svr(cfg: RunConfig, out: Path, prepared: PreparedData) -> dict:
         "gamma": best_cell.gamma,
         "c": best_cell.c,
         "cv_mse": best_cell.cv_mse,
+        "converged_folds": best_cell.converged_folds,
+        "max_n_iter": best_cell.max_n_iter,
     })
 
     spec = svr_mod.KernelSpec(kind=best_cell.kernel, gamma=best_cell.gamma,

@@ -99,6 +99,8 @@ class GridCell:
     gamma: float
     c: float
     cv_mse: float
+    converged_folds: int  # folds whose SMO solve met tol within the cap
+    max_n_iter: int  # largest SMO iteration count over the folds
 
 
 @dataclass
@@ -357,6 +359,24 @@ def _fold_bounds(n: int, k: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _cross_validate(X, y, bounds, cfg: SvrConfig) -> tuple[float, int, int]:
+    """Mean held-out MSE over the folds, converged fold count, max n_iter."""
+    n = y.shape[0]
+    fold_mses = []
+    converged = 0
+    max_n_iter = 0
+    for start, stop in bounds:
+        mask = np.ones(n, dtype=bool)
+        mask[start:stop] = False
+        model = fit(X[mask], y[mask], cfg)
+        preds = predict_batch(model, X[start:stop])
+        resid = preds - y[start:stop]
+        fold_mses.append(float(np.mean(resid * resid)))
+        converged += model.converged
+        max_n_iter = max(max_n_iter, model.n_iter)
+    return float(np.mean(fold_mses)), converged, max_n_iter
+
+
 def grid_search(
     X,
     y,
@@ -373,8 +393,20 @@ def grid_search(
 
     Folds are contiguous in time order.  The best cell is the argmin of
     cv_mse with ties resolved by grid order (kernel, then gamma, then C
-    as listed).  Non-converged cells keep their score and raise only a
-    ConvergenceWarning, so the table always fills.
+    as listed).
+
+    Each distinct fit is cross-validated once, keyed by (kind, gamma,
+    C).  The linear kernel ignores gamma, so its key drops gamma: the
+    first gamma row runs the k fold fits of each C and the other gamma
+    rows reuse those scores, bit for bit, while each cell keeps its own
+    gamma.  Every distinct fit still runs through ``fit`` and
+    ``predict_batch``.
+
+    Non-converged folds keep their best-iterate score, so the table
+    always fills.  The per-fold ConvergenceWarnings are suppressed in
+    favour of one summary ConvergenceWarning naming the fits with
+    non-converged folds; each cell records ``converged_folds`` and
+    ``max_n_iter``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 1 and np.asarray(y).size != 1:
@@ -389,22 +421,35 @@ def grid_search(
     if n - max(stop - start for start, stop in bounds) < 2:
         raise TooFewSamplesError(
             f"{n} samples leave fewer than 2 training points per {k}-fold split")
+    scores: dict[tuple, tuple[float, int, int]] = {}
     cells: list[GridCell] = []
-    for kind in kernels:
-        for gamma in gammas:
-            spec = KernelSpec(kind=kind, gamma=float(gamma), coef0=coef0)
-            for c in cs:
-                cfg = SvrConfig(kernel=spec, c=float(c), epsilon=epsilon,
-                                tol=tol, max_iter=max_iter)
-                fold_mses = []
-                for start, stop in bounds:
-                    mask = np.ones(n, dtype=bool)
-                    mask[start:stop] = False
-                    model = fit(X[mask], y[mask], cfg)
-                    preds = predict_batch(model, X[start:stop])
-                    resid = preds - y[start:stop]
-                    fold_mses.append(float(np.mean(resid * resid)))
-                cells.append(GridCell(kernel=kind, gamma=float(gamma),
-                                      c=float(c), cv_mse=float(np.mean(fold_mses))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        for kind in kernels:
+            for gamma in gammas:
+                spec = KernelSpec(kind=kind, gamma=float(gamma), coef0=coef0)
+                for c in cs:
+                    key = (kind, None if kind == "linear" else float(gamma), float(c))
+                    if key not in scores:
+                        scores[key] = _cross_validate(X, y, bounds, SvrConfig(
+                            kernel=spec, c=float(c), epsilon=epsilon, tol=tol,
+                            max_iter=max_iter))
+                    cv_mse, converged_folds, max_n_iter = scores[key]
+                    cells.append(GridCell(kernel=kind, gamma=float(gamma), c=float(c),
+                                          cv_mse=cv_mse, converged_folds=converged_folds,
+                                          max_n_iter=max_n_iter))
+    capped = [
+        f"{kind}{'' if gamma is None else f' gamma={gamma:g}'} C={c:g} "
+        f"({k - converged_folds} of {k} folds)"
+        for (kind, gamma, c), (_, converged_folds, _) in scores.items()
+        if converged_folds < k
+    ]
+    if capped:
+        warnings.warn(
+            "SMO stopped short of tol in " + ", ".join(capped)
+            + "; those folds are scored at the best iterate",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
     best = int(np.argmin([cell.cv_mse for cell in cells]))
     return SvrGrid(cells=cells, best_index=best)

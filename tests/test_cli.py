@@ -146,6 +146,8 @@ class TestRun:
         assert len(rows) == 4  # 2 kernels x 1 gamma x 2 Cs
         best = json.loads((Path(out) / "svr_best.json").read_text())
         assert best["kernel"] in ("linear", "rbf")
+        assert best["converged_folds"] in range(RunConfig().svr_cv_folds + 1)
+        assert isinstance(best["max_n_iter"], int) and best["max_n_iter"] > 0
         model = json.loads((Path(out) / "svr_model.json").read_text())
         assert isinstance(model["n_iter"], int) and model["n_iter"] > 0
         assert isinstance(model["kkt_violation"], float)

@@ -259,19 +259,38 @@ class TestPredict:
 
 
 class TestGammaInvariance:
-    def test_linear_fit_identical_across_gammas(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(12, 1))
-        y = rng.normal(size=12)
-        models = [
-            fit(X, y, SvrConfig(kernel=KernelSpec("linear", gamma=g), c=10.0))
-            for g in (0.001, 0.01, 0.1, 1.0)
-        ]
+    GAMMAS = (0.001, 0.01, 0.1, 1.0)
+
+    def _assert_same_fit(self, models):
         base = models[0]
         for other in models[1:]:
             np.testing.assert_array_equal(other.dual_coefs, base.dual_coefs)
             np.testing.assert_array_equal(other.support_vectors, base.support_vectors)
+            assert other.n_iter == base.n_iter
+            assert other.kkt_violation == base.kkt_violation
             assert other.bias == base.bias
+
+    def test_linear_fit_identical_across_gammas(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(12, 1))
+        y = rng.normal(size=12)
+        self._assert_same_fit([
+            fit(X, y, SvrConfig(kernel=KernelSpec("linear", gamma=g), c=10.0))
+            for g in self.GAMMAS
+        ])
+
+    def test_capped_linear_fit_identical_across_gammas(self):
+        # grid_search scores linear cells once for all gammas, which holds
+        # only if a fit stopped at the 100 * n cap ignores gamma as well
+        X, y = time_feature_series(38, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            models = [
+                fit(X, y, SvrConfig(kernel=KernelSpec("linear", gamma=g), c=1000.0))
+                for g in self.GAMMAS
+            ]
+        assert not models[0].converged and models[0].n_iter == 100 * 38
+        self._assert_same_fit(models)
 
 
 class TestGridSearch:
@@ -308,6 +327,62 @@ class TestGridSearch:
             by_c.setdefault(cell.c, []).append(cell.cv_mse)
         for c, mses in by_c.items():
             assert len(set(mses)) == 1, f"C={c} rows differ across gammas: {mses}"
+
+    def test_each_distinct_fit_runs_once_per_fold(self, monkeypatch):
+        X, y = self._data()
+        kinds = []
+        real_fit = svr.fit
+
+        def counting_fit(X, y, cfg):
+            kinds.append(cfg.kernel.kind)
+            return real_fit(X, y, cfg)
+
+        monkeypatch.setattr(svr, "fit", counting_fit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            grid = grid_search(X, y, ("rbf", "sigmoid", "linear"), self.GAMMAS, self.CS, k=5)
+        assert len(grid.cells) == 48
+        # 16 rbf + 16 sigmoid + 4 linear (one per C) distinct cells
+        assert len(kinds) == 36 * 5
+        assert kinds.count("linear") == 4 * 5
+
+    def test_every_cell_matches_its_own_fold_loop(self):
+        # time feature at n = 40: the linear and rbf C = 1000 folds hit the
+        # iteration cap, so shared capped scores and diagnostics are covered
+        X, y = time_feature_series(40, seed=0)
+        k = 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            grid = grid_search(X, y, ("rbf", "sigmoid", "linear"), self.GAMMAS, self.CS, k=k)
+            assert len(grid.cells) == 48
+            for cell in grid.cells:
+                cfg = SvrConfig(kernel=KernelSpec(cell.kernel, gamma=cell.gamma), c=cell.c)
+                fold_mses, models = [], []
+                for held in np.array_split(np.arange(len(y)), k):
+                    train = np.setdiff1d(np.arange(len(y)), held)
+                    model = fit(X[train], y[train], cfg)
+                    resid = predict_batch(model, X[held]) - y[held]
+                    fold_mses.append(float(np.mean(resid * resid)))
+                    models.append(model)
+                assert cell.cv_mse == float(np.mean(fold_mses)), cell
+                assert cell.converged_folds == sum(m.converged for m in models), cell
+                assert cell.max_n_iter == max(m.n_iter for m in models), cell
+        assert any(c.kernel == "linear" and c.converged_folds < k for c in grid.cells)
+
+    def test_one_summary_warning_names_capped_fits(self):
+        X, y = time_feature_series(40, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid = grid_search(X, y, ("rbf", "linear"), (0.1, 1.0), (1.0, 1000.0), k=5)
+        assert len(caught) == 1
+        assert caught[0].category is ConvergenceWarning
+        assert caught[0].filename == __file__
+        message = str(caught[0].message)
+        assert "rbf gamma=1 C=1000 (5 of 5 folds)" in message
+        assert "linear C=1000 (5 of 5 folds)" in message
+        assert message.count("linear") == 1
+        assert "C=1 " not in message
+        assert [c.converged_folds for c in grid.cells if c.c == 1.0] == [5, 5, 5, 5]
 
     def test_exactly_linear_data_selects_linear_cell(self):
         # slope 25 exceeds the dual budget sum|beta_i| * max|x| at C=1,
