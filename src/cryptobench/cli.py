@@ -77,7 +77,7 @@ def _cmd_prepare(args) -> int:
     try:
         cfg = resolve_config(args)
         info = pipeline.prepare(cfg)
-    except (ConfigError, DatasetError, FileNotFoundError, OSError) as exc:
+    except (ConfigError, DatasetError, OSError) as exc:
         print(f"prepare failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(f"parsed {info['n_parsed']} records, kept {info['n_records']} after cleaning")
@@ -109,8 +109,7 @@ def _cmd_compare(args) -> int:
     try:
         cfg = resolve_config(args)
         report = pipeline.run_compare(cfg, models=models, subset_ok=args.subset_ok)
-    except (ConfigError, pipeline.MissingArtifactError,
-            pipeline.MismatchedResultsError) as exc:
+    except (ConfigError, pipeline.PipelineError) as exc:
         print(f"compare failed: {exc}", file=sys.stderr)
         return EXIT_MISSING_RESULTS
     print((Path(cfg.out_dir) / "report.txt").read_text(), end="")
@@ -124,7 +123,7 @@ def _cmd_fetch(args) -> int:
         dest = Path(args.input)
         dest.parent.mkdir(parents=True, exist_ok=True)
         dest.write_bytes(data)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"fetch failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(f"wrote {args.input} ({len(data)} bytes)")

@@ -129,7 +129,10 @@ def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
     """Overlay an INI config file on ``base`` (defaults when omitted)."""
     base = base if base is not None else RunConfig()
     parser = configparser.ConfigParser()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:

@@ -121,9 +121,15 @@ class LstmParams:
     def from_vector(cls, vec: np.ndarray, input_dim: int, hidden_size: int) -> "LstmParams":
         return cls(np.array(vec, dtype=np.float64), input_dim, hidden_size)
 
+    def to_fields(self) -> dict:
+        """The named per-gate arrays of ``_WEIGHT_FIELDS`` plus ``b_y``, as
+        lists: the ``params`` of the v1 checkpoint."""
+        fields = {name: getattr(self, name).tolist() for name in _WEIGHT_FIELDS}
+        return fields | {"b_y": self.b_y}
+
     @classmethod
     def from_fields(cls, fields: Mapping) -> "LstmParams":
-        """Build from the named per-gate arrays of ``_WEIGHT_FIELDS`` plus ``b_y``."""
+        """Build from the output of ``to_fields``; the inverse, bit for bit."""
         d, h = np.shape(fields["w_ix"])
         params = cls.zeros(d, h)
         for name in _WEIGHT_FIELDS:
@@ -198,19 +204,13 @@ class LstmConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     batch_size: int = 32
-    forget_bias: float = 1.0
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def init_params(
-    input_dim: int,
-    hidden_size: int,
-    rng: np.random.Generator,
-    forget_bias: float = 1.0,
-) -> LstmParams:
+def init_params(input_dim: int, hidden_size: int, rng: np.random.Generator) -> LstmParams:
     """Uniform(-k, k) init with k = 1/sqrt(H); forget bias starts at 1."""
     k = 1.0 / math.sqrt(hidden_size)
     params = LstmParams.zeros(input_dim, hidden_size)
@@ -218,7 +218,7 @@ def init_params(
         if not name.startswith("b_"):
             view = getattr(params, name)
             view[...] = rng.uniform(-k, k, size=view.shape)
-    params.b_f[...] = float(forget_bias)
+    params.b_f[...] = 1.0
     return params
 
 
@@ -406,7 +406,7 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
         raise ValueError("training dataset is empty")
 
     rng = np.random.default_rng(seed)
-    params = init_params(1, hyper.hidden_size, rng, forget_bias=hyper.forget_bias)
+    params = init_params(1, hyper.hidden_size, rng)
     adam = AdamState.fresh(params.n_params, lr=hyper.learning_rate,
                            beta1=hyper.beta1, beta2=hyper.beta2,
                            eps=hyper.adam_eps)

@@ -17,6 +17,11 @@ Artifact layout under ``out_dir``:
 
 Every file embeds the config hash and seed; floats are written with
 ``repr`` so reruns with the same config are byte-identical.
+
+``run_model`` writes every family's artifacts: each family only runs its
+sweep and refit and returns tables, model fields, its winning config and
+normalized test predictions; the stamping, the scoring on both scales
+and the result file are shared.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +56,6 @@ __all__ = [
     "load_poly_model",
     "MODEL_NAMES",
 ]
-
-MODEL_NAMES = ("lstm", "svr", "poly")
 
 FORMAT_VERSION = 1
 
@@ -90,7 +93,10 @@ def _write_json(path: Path, payload: dict):
 def _read_json(path: Path) -> dict:
     if not path.exists():
         raise MissingArtifactError(f"missing artifact: {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise PipelineError(f"unreadable artifact {path}: {exc}") from exc
 
 
 def _input_path(cfg: RunConfig) -> Path:
@@ -202,7 +208,9 @@ def _check_prepare_consistency(cfg: RunConfig, out: Path):
                 f"config says {value!r}; rerun prepare")
 
 
-# --- shared model plumbing ---------------------------------------------
+# --- model runs --------------------------------------------------------
+# Each family runs its sweep and refit and hands back a _Fit; run_model
+# stamps, scores and writes every artifact from it.
 
 def _boundary_windows(prepared: PreparedData, window: int) -> tuple:
     """Train windows from the train slice; test windows prepend the last
@@ -213,43 +221,16 @@ def _boundary_windows(prepared: PreparedData, window: int) -> tuple:
     return train_ds, test_ds
 
 
-def _prediction_rows(prepared: PreparedData, preds_norm: np.ndarray):
-    """(date, actual, predicted) rows in raw price units for the test slice."""
-    test_dates = prepared.dates[prepared.split_index:]
-    actual_raw = ds.inverse_scale(prepared.test_values, prepared.scaler)
-    preds_raw = ds.inverse_scale(preds_norm, prepared.scaler)
-    return [
-        (date.isoformat(), float(a), float(p))
-        for date, a, p in zip(test_dates, actual_raw, preds_raw)
-    ]
+@dataclass
+class _Fit:
+    tables: dict  # file name -> (header, rows)
+    model: dict  # family fields of {name}_model.json
+    summary: dict  # winning config, the result's config_summary
+    preds_norm: np.ndarray  # normalized predictions for the test slice
+    records: dict = field(default_factory=dict)  # extra JSON file -> fields
 
 
-def _both_scale_mses(targets_norm, preds_norm, scaler) -> tuple[float, float]:
-    m_norm = evaluation.mse(targets_norm, preds_norm)
-    m_raw = evaluation.mse(ds.inverse_scale(targets_norm, scaler),
-                           ds.inverse_scale(preds_norm, scaler))
-    return m_norm, m_raw
-
-
-def _result_payload(cfg, name, m_norm, m_raw, summary, prediction_rows, fingerprint):
-    return {
-        "format_version": FORMAT_VERSION,
-        "model": name,
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "dataset_fingerprint": fingerprint,
-        "mse_normalized": m_norm,
-        "mse_raw": m_raw,
-        "config_summary": summary,
-        "predictions": [
-            {"date": d, "actual": a, "predicted": p} for d, a, p in prediction_rows
-        ],
-    }
-
-
-# --- model runs --------------------------------------------------------
-
-def _run_lstm(cfg: RunConfig, out: Path, prepared: PreparedData) -> dict:
+def _fit_lstm(cfg: RunConfig, prepared: PreparedData) -> _Fit:
     train_ds, test_ds = _boundary_windows(prepared, cfg.window)
     hyper = lstm_mod.LstmConfig(
         hidden_size=cfg.lstm_hidden_size,
@@ -261,45 +242,30 @@ def _run_lstm(cfg: RunConfig, out: Path, prepared: PreparedData) -> dict:
     )
     rows, snapshots, history = lstm_mod.epoch_grid(
         train_ds, test_ds, cfg.lstm_epochs, cfg.seed, hyper)
-    cfg_hash = config_hash(cfg)
-    _write_table(out / "lstm_epochs.csv", ["epoch", "mse"], rows, cfg_hash, cfg.seed)
-    _write_table(out / "lstm_history.csv", ["epoch", "train_mse", "test_mse"],
-                 [(r.epoch, r.train_mse, r.test_mse) for r in history],
-                 cfg_hash, cfg.seed)
-
     best_epoch = min(rows, key=lambda r: (r[1], r[0]))[0]
     best = snapshots[best_epoch]
-    preds_norm = lstm_mod.predict_batch(best, test_ds.inputs)
-    m_norm, m_raw = _both_scale_mses(test_ds.targets, preds_norm, prepared.scaler)
-
-    checkpoint = {
-        "format_version": FORMAT_VERSION,
-        "kind": "lstm",
-        "config_hash": cfg_hash,
-        "seed": cfg.seed,
-        "window": cfg.window,
-        "input_dim": best.input_dim,
-        "hidden_size": best.hidden_size,
-        "epochs": best_epoch,
-        "scaler": {"min": prepared.scaler.min, "max": prepared.scaler.max},
-        "params": {
-            name: getattr(best, name).tolist() for name in lstm_mod._WEIGHT_FIELDS
-        } | {"b_y": best.b_y},
-    }
-    _write_json(out / "lstm_model.json", checkpoint)
-
-    summary = {
-        "epochs": best_epoch,
-        "hidden_size": cfg.lstm_hidden_size,
-        "learning_rate": cfg.lstm_learning_rate,
-        "batch_size": cfg.lstm_batch_size,
-        "window": cfg.window,
-    }
-    payload = _result_payload(cfg, "lstm", m_norm, m_raw, summary,
-                              _prediction_rows(prepared, preds_norm),
-                              prepared.fingerprint)
-    _write_json(out / "lstm_result.json", payload)
-    return payload
+    return _Fit(
+        tables={
+            "lstm_epochs.csv": (["epoch", "mse"], rows),
+            "lstm_history.csv": (["epoch", "train_mse", "test_mse"],
+                                 [(r.epoch, r.train_mse, r.test_mse) for r in history]),
+        },
+        model={
+            "window": cfg.window,
+            "input_dim": best.input_dim,
+            "hidden_size": best.hidden_size,
+            "epochs": best_epoch,
+            "params": best.to_fields(),
+        },
+        summary={
+            "epochs": best_epoch,
+            "hidden_size": cfg.lstm_hidden_size,
+            "learning_rate": cfg.lstm_learning_rate,
+            "batch_size": cfg.lstm_batch_size,
+            "window": cfg.window,
+        },
+        preds_norm=lstm_mod.predict_batch(best, test_ds.inputs),
+    )
 
 
 def _time_features(n: int) -> np.ndarray:
@@ -307,39 +273,21 @@ def _time_features(n: int) -> np.ndarray:
     return (np.arange(n, dtype=np.float64) / (n - 1)).reshape(-1, 1)
 
 
-def _run_svr(cfg: RunConfig, out: Path, prepared: PreparedData) -> dict:
+def _fit_svr(cfg: RunConfig, prepared: PreparedData) -> _Fit:
     split = prepared.split_index
     if cfg.svr_features == "time":
         t = _time_features(len(prepared.normalized))
-        x_train, y_train = t[:split], prepared.train_values
-        x_test, y_test = t[split:], prepared.test_values
+        x_train, y_train, x_test = t[:split], prepared.train_values, t[split:]
     else:
         train_ds, test_ds = _boundary_windows(prepared, cfg.window)
-        x_train, y_train = train_ds.inputs, train_ds.targets
-        x_test, y_test = test_ds.inputs, test_ds.targets
+        x_train, y_train, x_test = train_ds.inputs, train_ds.targets, test_ds.inputs
 
     grid = svr_mod.grid_search(
         x_train, y_train,
         kernels=cfg.svr_kernels, gammas=cfg.svr_gammas, cs=cfg.svr_cs,
         k=cfg.svr_cv_folds, epsilon=cfg.svr_epsilon, tol=cfg.svr_tol,
         coef0=cfg.svr_coef0)
-    cfg_hash = config_hash(cfg)
-    _write_table(out / "svr_grid.csv", ["kernel", "gamma", "c", "mse"],
-                 [(c.kernel, c.gamma, c.c, c.cv_mse) for c in grid.cells],
-                 cfg_hash, cfg.seed)
     best_cell = grid.best
-    _write_json(out / "svr_best.json", {
-        "format_version": FORMAT_VERSION,
-        "config_hash": cfg_hash,
-        "seed": cfg.seed,
-        "kernel": best_cell.kernel,
-        "gamma": best_cell.gamma,
-        "c": best_cell.c,
-        "cv_mse": best_cell.cv_mse,
-        "converged_folds": best_cell.converged_folds,
-        "max_n_iter": best_cell.max_n_iter,
-    })
-
     spec = svr_mod.KernelSpec(kind=best_cell.kernel, gamma=best_cell.gamma,
                               coef0=cfg.svr_coef0)
     # grid cells keep the stock iteration budget (non-convergence there is
@@ -348,91 +296,105 @@ def _run_svr(cfg: RunConfig, out: Path, prepared: PreparedData) -> dict:
     model = svr_mod.fit(x_train, y_train, svr_mod.SvrConfig(
         kernel=spec, c=best_cell.c, epsilon=cfg.svr_epsilon, tol=cfg.svr_tol,
         max_iter=refit_iters))
-    preds_norm = svr_mod.predict_batch(model, x_test)
-    m_norm, m_raw = _both_scale_mses(y_test, preds_norm, prepared.scaler)
+    return _Fit(
+        tables={"svr_grid.csv": (["kernel", "gamma", "c", "mse"],
+                                 [(c.kernel, c.gamma, c.c, c.cv_mse) for c in grid.cells])},
+        records={"svr_best.json": {
+            "kernel": best_cell.kernel,
+            "gamma": best_cell.gamma,
+            "c": best_cell.c,
+            "cv_mse": best_cell.cv_mse,
+            "converged_folds": best_cell.converged_folds,
+            "max_n_iter": best_cell.max_n_iter,
+        }},
+        model={
+            "features": cfg.svr_features,
+            "kernel": {"kind": spec.kind, "gamma": spec.gamma, "coef0": spec.coef0},
+            "c": best_cell.c,
+            "epsilon": cfg.svr_epsilon,
+            "bias": model.bias,
+            "n_features": int(x_train.shape[1]),
+            "support_vectors": model.support_vectors.tolist(),
+            "dual_coefs": model.dual_coefs.tolist(),
+            "converged": model.converged,
+            "n_iter": model.n_iter,
+            "kkt_violation": model.kkt_violation,
+        },
+        summary={
+            "kernel": best_cell.kernel,
+            "gamma": best_cell.gamma,
+            "c": best_cell.c,
+            "epsilon": cfg.svr_epsilon,
+            "features": cfg.svr_features,
+            "cv_folds": cfg.svr_cv_folds,
+        },
+        preds_norm=svr_mod.predict_batch(model, x_test),
+    )
 
-    _write_json(out / "svr_model.json", {
-        "format_version": FORMAT_VERSION,
-        "kind": "svr",
-        "config_hash": cfg_hash,
-        "seed": cfg.seed,
-        "features": cfg.svr_features,
-        "kernel": {"kind": spec.kind, "gamma": spec.gamma, "coef0": spec.coef0},
-        "c": best_cell.c,
-        "epsilon": cfg.svr_epsilon,
-        "bias": model.bias,
-        "n_features": int(x_train.shape[1]) if x_train.ndim == 2 else 1,
-        "support_vectors": model.support_vectors.tolist(),
-        "dual_coefs": model.dual_coefs.tolist(),
-        "scaler": {"min": prepared.scaler.min, "max": prepared.scaler.max},
-        "converged": model.converged,
-        "n_iter": model.n_iter,
-        "kkt_violation": model.kkt_violation,
-    })
 
-    summary = {
-        "kernel": best_cell.kernel,
-        "gamma": best_cell.gamma,
-        "c": best_cell.c,
-        "epsilon": cfg.svr_epsilon,
-        "features": cfg.svr_features,
-        "cv_folds": cfg.svr_cv_folds,
-    }
-    payload = _result_payload(cfg, "svr", m_norm, m_raw, summary,
-                              _prediction_rows(prepared, preds_norm),
-                              prepared.fingerprint)
-    _write_json(out / "svr_result.json", payload)
-    return payload
-
-
-def _run_poly(cfg: RunConfig, out: Path, prepared: PreparedData) -> dict:
+def _fit_poly(cfg: RunConfig, prepared: PreparedData) -> _Fit:
     split = prepared.split_index
     xs = np.arange(len(prepared.normalized), dtype=np.float64)
     sweep = polyreg.degree_sweep(
         (xs[:split], prepared.train_values),
         (xs[split:], prepared.test_values),
         cfg.poly_degrees)
-    cfg_hash = config_hash(cfg)
-    _write_table(out / "poly_degrees.csv", ["degree", "mse"], sweep.rows,
-                 cfg_hash, cfg.seed)
-
     best_degree = sweep.best[0]
     model = polyreg.fit(xs[:split], prepared.train_values, best_degree)
-    preds_norm = np.asarray(polyreg.predict(model, xs[split:]))
-    m_norm, m_raw = _both_scale_mses(prepared.test_values, preds_norm,
-                                     prepared.scaler)
-
-    _write_json(out / "poly_model.json", {
-        "format_version": FORMAT_VERSION,
-        "kind": "poly",
-        "config_hash": cfg_hash,
-        "seed": cfg.seed,
-        "degree": model.degree,
-        "intercept": model.intercept,
-        "coefficients": model.coefficients.tolist(),
-        "feature_scale": list(model.feature_scale),
-        "scaler": {"min": prepared.scaler.min, "max": prepared.scaler.max},
-    })
-
-    summary = {"degree": best_degree, "include_bias": False}
-    payload = _result_payload(cfg, "poly", m_norm, m_raw, summary,
-                              _prediction_rows(prepared, preds_norm),
-                              prepared.fingerprint)
-    _write_json(out / "poly_result.json", payload)
-    return payload
+    return _Fit(
+        tables={"poly_degrees.csv": (["degree", "mse"], sweep.rows)},
+        model={
+            "degree": model.degree,
+            "intercept": model.intercept,
+            "coefficients": model.coefficients.tolist(),
+            "feature_scale": list(model.feature_scale),
+        },
+        summary={"degree": best_degree, "include_bias": False},
+        preds_norm=polyreg.predict(model, xs[split:]),
+    )
 
 
-_RUNNERS = {"lstm": _run_lstm, "svr": _run_svr, "poly": _run_poly}
+_RUNNERS = {"lstm": _fit_lstm, "svr": _fit_svr, "poly": _fit_poly}
+
+MODEL_NAMES = tuple(_RUNNERS)
 
 
 def run_model(cfg: RunConfig, name: str) -> dict:
-    """Run one model family's sweep against the prepared artifacts."""
+    """Run one model family's sweep and refit against the prepared
+    artifacts, then write its tables, model file and scored result."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
     out = Path(cfg.out_dir)
     _check_prepare_consistency(cfg, out)
     prepared = load_prepared(out)
-    return _RUNNERS[name](cfg, out, prepared)
+    fit = _RUNNERS[name](cfg, prepared)
+
+    stamp = {"format_version": FORMAT_VERSION, "config_hash": config_hash(cfg),
+             "seed": cfg.seed}
+    for file_name, (header, rows) in fit.tables.items():
+        _write_table(out / file_name, header, rows, stamp["config_hash"], cfg.seed)
+    for file_name, fields in fit.records.items():
+        _write_json(out / file_name, stamp | fields)
+    scaler = prepared.scaler
+    _write_json(out / f"{name}_model.json", stamp | fit.model | {
+        "kind": name, "scaler": {"min": scaler.min, "max": scaler.max}})
+
+    actual_raw = ds.inverse_scale(prepared.test_values, scaler)
+    preds_raw = ds.inverse_scale(fit.preds_norm, scaler)
+    test_dates = prepared.dates[prepared.split_index:]
+    payload = stamp | {
+        "model": name,
+        "dataset_fingerprint": prepared.fingerprint,
+        "mse_normalized": evaluation.mse(prepared.test_values, fit.preds_norm),
+        "mse_raw": evaluation.mse(actual_raw, preds_raw),
+        "config_summary": fit.summary,
+        "predictions": [
+            {"date": date.isoformat(), "actual": float(a), "predicted": float(p)}
+            for date, a, p in zip(test_dates, actual_raw, preds_raw)
+        ],
+    }
+    _write_json(out / f"{name}_result.json", payload)
+    return payload
 
 
 # --- comparison --------------------------------------------------------

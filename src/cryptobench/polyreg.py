@@ -22,7 +22,6 @@ __all__ = [
     "DegreeSweep",
     "RankDeficientError",
     "InvalidDegreeError",
-    "poly_features",
     "fit",
     "predict",
     "degree_sweep",
@@ -67,16 +66,6 @@ class DegreeSweep:
     @property
     def best(self) -> tuple[int, float]:
         return self.rows[self.best_index]
-
-
-def poly_features(x: float, degree: int, include_bias: bool = False) -> np.ndarray:
-    """[x, x^2, ..., x^degree], optionally prefixed with the constant 1."""
-    if degree < 1:
-        raise InvalidDegreeError(f"degree must be >= 1, got {degree}")
-    powers = np.power(float(x), np.arange(1, degree + 1))
-    if include_bias:
-        return np.concatenate(([1.0], powers))
-    return powers
 
 
 def _design_matrix(x_scaled: np.ndarray, degree: int) -> np.ndarray:

@@ -387,7 +387,6 @@ def grid_search(
     epsilon: float = 0.1,
     tol: float = 1e-3,
     coef0: float = 0.0,
-    max_iter: int | None = None,
 ) -> SvrGrid:
     """Exhaustive kernel x gamma x C sweep scored by k-fold CV MSE.
 
@@ -432,8 +431,7 @@ def grid_search(
                     key = (kind, None if kind == "linear" else float(gamma), float(c))
                     if key not in scores:
                         scores[key] = _cross_validate(X, y, bounds, SvrConfig(
-                            kernel=spec, c=float(c), epsilon=epsilon, tol=tol,
-                            max_iter=max_iter))
+                            kernel=spec, c=float(c), epsilon=epsilon, tol=tol))
                     cv_mse, converged_folds, max_n_iter = scores[key]
                     cells.append(GridCell(kernel=kind, gamma=float(gamma), c=float(c),
                                           cv_mse=cv_mse, converged_folds=converged_folds,

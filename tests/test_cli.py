@@ -56,6 +56,19 @@ def full_run(tmp_path_factory, small_ini):
     return out, base
 
 
+@pytest.fixture(scope="session")
+def window_svr_run(tmp_path_factory):
+    """A prepared out-dir with ``run svr`` on lag-window features."""
+    root = tmp_path_factory.mktemp("window_svr")
+    ini = root / "window.ini"
+    ini.write_text(SMALL_INI.replace("[svr]\n", "[svr]\nfeatures = window\n"))
+    out = root / "out"
+    base = ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(out), "--seed", "5"]
+    assert main(["prepare", *base]) == 0
+    assert main(["run", "svr", *base]) == 0
+    return out
+
+
 def _private_copy(full_run, tmp_path):
     """Copy of the shared run for a test that writes into its out-dir."""
     out, base = full_run
@@ -166,11 +179,53 @@ class TestRun:
         assert header == "epoch,train_mse,test_mse"
         assert len(rows) == 2
 
+    def test_missing_config_exits_3(self, full_run, tmp_path, capsys):
+        out, _ = full_run
+        missing = tmp_path / "nope.ini"
+        assert main(["run", "poly", "--config", str(missing), "--out-dir", out]) == 3
+        assert str(missing) in capsys.readouterr().err
+
+    def test_svr_window_features(self, window_svr_run):
+        model = json.loads((window_svr_run / "svr_model.json").read_text())
+        assert model["features"] == "window"
+        assert model["n_features"] == 8
+        result = json.loads((window_svr_run / "svr_result.json").read_text())
+        assert result["config_summary"]["features"] == "window"
+        assert len(result["predictions"]) == 12
+
     def test_config_mismatch_exits_3(self, full_run, tmp_path, capsys):
         out, _ = full_run
         # different window than the prepared artifacts were built with
         assert main(["run", "poly", "--input", SAMPLE, "--out-dir", out]) == 3
         assert "rerun prepare" in capsys.readouterr().err
+
+
+# What ``run_model`` writes for each family, beyond its model and result files.
+FAMILY_ARTIFACTS = {
+    "lstm": (["lstm_epochs.csv", "lstm_history.csv"], []),
+    "svr": (["svr_grid.csv"], ["svr_best.json"]),
+    "poly": (["poly_degrees.csv"], []),
+}
+
+
+class TestRunModelStamps:
+    @pytest.mark.parametrize("name", pipeline.MODEL_NAMES)
+    def test_every_artifact_is_stamped(self, full_run, name):
+        out = Path(full_run[0])
+        meta = json.loads((out / "prepare_meta.json").read_text())
+        tables, records = FAMILY_ARTIFACTS[name]
+        for file_name in [*records, f"{name}_model.json", f"{name}_result.json"]:
+            payload = json.loads((out / file_name).read_text())
+            assert payload["format_version"] == pipeline.FORMAT_VERSION, file_name
+            assert payload["config_hash"] == meta["config_hash"], file_name
+            assert payload["seed"] == meta["seed"], file_name
+        for file_name in tables:
+            head = (out / file_name).read_text().splitlines()[:2]
+            assert head == [f"# config_hash={meta['config_hash']}",
+                            f"# seed={meta['seed']}"], file_name
+        model = json.loads((out / f"{name}_model.json").read_text())
+        assert model["kind"] == name
+        assert model["scaler"] == meta["scaler"]
 
 
 class TestCheckpointRoundTrips:
@@ -196,6 +251,18 @@ class TestCheckpointRoundTrips:
         preds_norm = svr_mod.predict_batch(model, t[prepared.split_index:])
         preds_raw = preds_norm * (meta["scaler"]["max"] - meta["scaler"]["min"]) + meta["scaler"]["min"]
         result = json.loads((Path(out) / "svr_result.json").read_text())
+        stored = [p["predicted"] for p in result["predictions"]]
+        np.testing.assert_array_equal(preds_raw, stored)
+
+    def test_svr_window_model_reproduces_predictions(self, window_svr_run):
+        model, meta = pipeline.load_svr_model(window_svr_run / "svr_model.json")
+        prepared = pipeline.load_prepared(window_svr_run)
+        window = meta["n_features"]
+        tail = np.concatenate([prepared.train_values[-window:], prepared.test_values])
+        test_ds = make_windows(tail, window)
+        preds_norm = svr_mod.predict_batch(model, test_ds.inputs)
+        preds_raw = preds_norm * (meta["scaler"]["max"] - meta["scaler"]["min"]) + meta["scaler"]["min"]
+        result = json.loads((window_svr_run / "svr_result.json").read_text())
         stored = [p["predicted"] for p in result["predictions"]]
         np.testing.assert_array_equal(preds_raw, stored)
 
@@ -275,6 +342,20 @@ class TestCompare:
         assert key in err and "svr=" + "0" * 16 in err
         assert not (copy / "report.json").exists()
 
+    def test_truncated_result_exits_4(self, full_run, tmp_path, capsys):
+        copy, args = _private_copy(full_run, tmp_path)
+        path = copy / "svr_result.json"
+        path.write_text(path.read_text()[:100])
+        assert main(["compare", *args]) == 4
+        assert str(path) in capsys.readouterr().err
+        assert not (copy / "report.json").exists()
+
+    def test_missing_config_exits_4(self, full_run, tmp_path, capsys):
+        out, _ = full_run
+        missing = tmp_path / "nope.ini"
+        assert main(["compare", "--config", str(missing), "--out-dir", out]) == 4
+        assert str(missing) in capsys.readouterr().err
+
     def test_unknown_model_name(self, full_run, capsys):
         _, base = full_run
         assert main(["compare", *base, "--models", "arima"]) == 4
@@ -337,3 +418,9 @@ class TestFetch:
         assert main(["fetch", "--url", "http://127.0.0.1:9/none.csv",
                      "--input", str(dest)]) == 2
         assert "fetch failed" in capsys.readouterr().err
+
+    def test_fetch_malformed_url_exits_2(self, tmp_path, capsys):
+        dest = tmp_path / "x.csv"
+        assert main(["fetch", "--url", "notaurl", "--input", str(dest)]) == 2
+        assert "fetch failed" in capsys.readouterr().err
+        assert not dest.exists()

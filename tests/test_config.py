@@ -73,6 +73,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bad value"):
             load_config(path)
 
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path / "nope.ini")
+
     def test_partial_override_keeps_defaults(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[dataset]\nwindow = 5\n")

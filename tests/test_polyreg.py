@@ -7,7 +7,6 @@ from cryptobench.polyreg import (
     RankDeficientError,
     degree_sweep,
     fit,
-    poly_features,
     predict,
 )
 
@@ -20,22 +19,6 @@ def naive_poly_eval(model, x):
     for k, coef in enumerate(model.coefficients, start=1):
         total += coef * s**k
     return total
-
-
-class TestPolyFeatures:
-    def test_powers_without_bias(self):
-        np.testing.assert_array_equal(poly_features(2.0, 3), [2.0, 4.0, 8.0])
-
-    def test_degree_one_is_identity(self):
-        np.testing.assert_array_equal(poly_features(7.5, 1), [7.5])
-
-    def test_bias_prepends_one(self):
-        np.testing.assert_array_equal(poly_features(2.0, 2, include_bias=True),
-                                      [1.0, 2.0, 4.0])
-
-    def test_invalid_degree(self):
-        with pytest.raises(InvalidDegreeError):
-            poly_features(1.0, 0)
 
 
 class TestFit:
@@ -52,6 +35,10 @@ class TestFit:
         model = fit(xs, np.full(9, 4.2), 3)
         np.testing.assert_allclose(model.intercept, 4.2, rtol=1e-12)
         np.testing.assert_allclose(model.coefficients, 0.0, atol=1e-10)
+
+    def test_invalid_degree(self):
+        with pytest.raises(InvalidDegreeError):
+            fit(np.arange(4.0), np.arange(4.0), 0)
 
     def test_underdetermined_raises(self):
         with pytest.raises(RankDeficientError):
