@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import urllib.request
 from dataclasses import replace
 from pathlib import Path
 
@@ -117,6 +116,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
+    # imported here: it is the slowest import of the package and only
+    # fetch needs it
+    import urllib.request
+
     try:
         with urllib.request.urlopen(args.url, timeout=FETCH_TIMEOUT_S) as response:
             data = response.read()

@@ -1,8 +1,7 @@
 """From-scratch single-layer LSTM regressor trained by BPTT + Adam.
 
-The recurrence uses the x_t . W (row-vector times matrix) convention with
-the four gates fused in the i, f, g, o column order of cuDNN and PyTorch's
-``nn.LSTM``:
+The recurrence, with the four gates in the i, f, g, o order of cuDNN and
+PyTorch's ``nn.LSTM``:
 
     [a_i a_f a_g a_o] = x_t.W_x + h_{t-1}.W_h + b     W_x (D, 4H), W_h (H, 4H)
     i_t = sigmoid(a_i)   f_t = sigmoid(a_f)   g_t = tanh(a_g)   o_t = sigmoid(a_o)
@@ -10,9 +9,14 @@ the four gates fused in the i, f, g, o column order of cuDNN and PyTorch's
     h_t = o_t * tanh(C_t)
 
 with a linear scalar head pred = h_T . w_y + b_y and per-sample loss
-(pred - target)^2.  Everything runs in float64 numpy.  One forward pass
-and one reverse pass serve every caller: a minibatch of B windows is
-unrolled as (B, H) matrix products, and the per-sample operations
+(pred - target)^2.  The flat parameter vector and the checkpoint keep
+that i, f, g, o layout.  The kernels run gates-major instead: each call
+gathers W = [W_h^T | W_x^T | b], shape (4H, H+D+1), with its rows in
+i, f, o, g order, and a batch of B windows keeps z_t = [h_{t-1}; x_t; 1]
+as (H+D+1, B) columns.  A step is then one product W . z_t, the sigmoid
+runs on one contiguous 3H-row block and tanh on the last H rows, and the
+reverse pass accumulates the gradient of W as one product per step.
+Everything runs in float64 numpy; the per-sample operations
 (``cell_forward``, ``sequence_forward``, ``bptt_gradients``) run the same
 code with B = 1.
 """
@@ -53,11 +57,12 @@ _WEIGHT_FIELDS = (
     "w_y",
 )
 
-# Windows per forward pass in ``predict_batch``; bounds the live (B, 4H)
-# arrays whatever the number of windows.  Predicting 800 windows of 30
-# steps at H = 50 (2-vCPU Xeon, OpenBLAS on 2 threads) took 49 ms and
-# raised peak RSS by 1.4 MB in chunks of 64, against 71 ms and 9.1 MB in
-# one pass; chunks of 128 and 256 were slower than either.
+# Windows per forward pass in ``predict_batch``; bounds the live z_t stack
+# and (4H, B) arrays whatever the number of windows.  Predicting 800
+# windows of 30 steps at H = 50 (2-vCPU Xeon, OpenBLAS on 2 threads, best
+# of 40) took 23-25 ms and raised peak RSS by 1.1 MB in chunks of 64,
+# against 23-32 ms and 2.5 MB in chunks of 128, 26-35 ms and 4.8 MB in
+# chunks of 256, and 26-30 ms and 14.6 MB in one pass.
 _PREDICT_CHUNK = 64
 
 
@@ -206,10 +211,6 @@ class LstmConfig:
     batch_size: int = 32
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def init_params(input_dim: int, hidden_size: int, rng: np.random.Generator) -> LstmParams:
     """Uniform(-k, k) init with k = 1/sqrt(H); forget bias starts at 1."""
     k = 1.0 / math.sqrt(hidden_size)
@@ -222,87 +223,110 @@ def init_params(input_dim: int, hidden_size: int, rng: np.random.Generator) -> L
     return params
 
 
-# --- batched kernels ---------------------------------------------------
-# Windows are time-major, xs (T, B, D), so each step reads one contiguous
-# (B, D) slice.
+# --- gates-major kernels (layout in the module docstring) --------------
+# Windows are time-major, xs (T, B, D).
+
+def _rows(h: int) -> np.ndarray:
+    """Flat-vector columns (i, f, g, o order) of the W rows (i, f, o, g)."""
+    return np.r_[0:2 * h, 3 * h:4 * h, 2 * h:3 * h]
+
+
+def _gate_matrix(params: LstmParams) -> np.ndarray:
+    """W = [W_h^T | W_x^T | b] with its rows in i, f, o, g order (a copy)."""
+    stacked = np.concatenate((params.w_h, params.w_x, params.b[np.newaxis]))
+    return stacked[:, _rows(params.hidden_size)].T
+
 
 def _gates(act: np.ndarray, h: int):
-    """The i, f, g, o column blocks of a (B, 4H) array, as views."""
-    return act[:, :h], act[:, h:2 * h], act[:, 2 * h:3 * h], act[:, 3 * h:]
+    """The i, f, o, g row blocks of a (4H, B) array, as views."""
+    return act[:h], act[h:2 * h], act[2 * h:3 * h], act[3 * h:]
 
 
-def _step(x_t, h_prev, c_prev, params: LstmParams):
-    """One cell step for a batch; returns the (B, 4H) gate activations,
-    C_t, tanh(C_t) and h_t."""
-    h = params.hidden_size
-    # np.dot, not @: with one input feature (D = 1) numpy's matmul takes a
-    # slow path for (B, 1) @ (1, 4H); np.dot gives the same bits ~4x faster
-    act = np.dot(x_t, params.w_x) + h_prev @ params.w_h + params.b
-    g = np.tanh(act[:, 2 * h:3 * h])
-    act = _sigmoid(act)
-    act[:, 2 * h:3 * h] = g
-    i, f, _, o = _gates(act, h)
+def _step(w: np.ndarray, z_t: np.ndarray, c_prev: np.ndarray, h_out: np.ndarray):
+    """One cell step for a batch: z_t is [h_{t-1}; x_t; 1] (H+D+1, B).
+
+    Writes h_t into ``h_out`` and returns the (4H, B) gate activations,
+    C_t and tanh(C_t).
+    """
+    h = len(c_prev)
+    act = w @ z_t
+    sig = act[:3 * h]
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    np.tanh(act[3 * h:], out=act[3 * h:])
+    i, f, o, g = _gates(act, h)
     c = f * c_prev + i * g
     tc = np.tanh(c)
-    return act, c, tc, o * tc
+    np.multiply(o, tc, out=h_out)
+    return act, c, tc
 
 
 def _unroll(xs: np.ndarray, params: LstmParams, keep: bool = False):
     """Run the cell over time-major windows from a zero state.
 
-    Returns the head output (B,) and, with ``keep``, the lists the reverse
-    pass reads: gate activations and tanh(C_t) per step, and cell and
-    hidden states with the zero initial state first (``cs[t]`` is C_{t-1}).
+    Returns the head output (B,) and what the reverse pass reads: W, the
+    (T+1, H+D+1, B) stack of z_t (``z[T, :H]`` is h_T) and, with
+    ``keep``, the per-step gate activations and tanh(C_t) and the cell
+    states with the zero initial state first (``cs[t]`` is C_{t-1}).
     """
-    _, batch, _ = xs.shape
-    h = np.zeros((batch, params.hidden_size))
-    c = np.zeros_like(h)
-    acts, tcs, cs, hs = [], [], [c], [h]
-    for x_t in xs:
-        act, c, tc, h = _step(x_t, h, c, params)
+    steps, batch, d = xs.shape
+    h = params.hidden_size
+    w = _gate_matrix(params)
+    z = np.ones((steps + 1, h + d + 1, batch))
+    z[0, :h] = 0.0
+    z[:-1, h:h + d] = xs.transpose(0, 2, 1)
+    c = np.zeros((h, batch))
+    acts, tcs, cs = [], [], [c]
+    for t in range(steps):
+        act, c, tc = _step(w, z[t], c, z[t + 1, :h])
         if keep:
             acts.append(act)
             tcs.append(tc)
             cs.append(c)
-            hs.append(h)
-    return h @ params.w_y + params.b_y, (acts, tcs, cs, hs)
+    return params.w_y @ z[-1, :h] + params.b_y, (w, z, acts, tcs, cs)
 
 
 def _batch_grads(xs: np.ndarray, targets: np.ndarray, params: LstmParams):
     """Mean gradient of the squared error over a batch, plus the mean loss.
 
-    Only gates and states are kept across the window; weight gradients
-    accumulate step by step as h_{t-1}^T . delta_t.
+    Only gates and states are kept across the window; the gradient of W
+    accumulates step by step as delta_t . z_t^T and is scattered back
+    into the flat layout once.
     """
     _, batch, d = xs.shape
     h = params.hidden_size
-    pred, (acts, tcs, cs, hs) = _unroll(xs, params, keep=True)
+    pred, (w, z, acts, tcs, cs) = _unroll(xs, params, keep=True)
     resid = pred - targets
     dpred = 2.0 * resid
     grads = LstmParams.zeros(d, h)
-    grads.w_y[...] = dpred @ hs[-1]
+    grads.w_y[...] = z[-1, :h] @ dpred
     grads.b_y = dpred.sum()
 
-    w_h_t = np.ascontiguousarray(params.w_h.T)
-    dh = np.outer(dpred, params.w_y)
+    w_h_t = w[:, :h].T
+    dh = np.outer(params.w_y, dpred)
     dc = np.zeros_like(dh)
-    da = np.empty((batch, 4 * h))
+    da = np.empty((4 * h, batch))
+    gw = np.zeros_like(w)
     for t in range(len(acts) - 1, -1, -1):
         act, tc = acts[t], tcs[t]
-        i, f, g, o = _gates(act, h)
+        i, f, o, g = _gates(act, h)
         dc += dh * o * (1.0 - tc * tc)
         # d loss / d gate activation, times the activation's derivative:
         # a(1 - a) for the sigmoid gates, 1 - g^2 for the tanh candidate
-        np.concatenate((dc * g, dc * cs[t], dc * i, dh * tc), axis=1, out=da)
-        deriv = act * (1.0 - act)
-        deriv[:, 2 * h:3 * h] = 1.0 - g * g
-        da *= deriv
-        grads.w_x += xs[t].T @ da
-        grads.w_h += hs[t].T @ da
-        grads.b += da.sum(axis=0)
-        dh = da @ w_h_t
+        np.concatenate((dc * g, dc * cs[t], dh * tc, dc * i), out=da)
+        sig = act[:3 * h]
+        da[:3 * h] *= sig * (1.0 - sig)
+        da[3 * h:] *= 1.0 - g * g
+        gw += da @ z[t].T
+        dh = w_h_t @ da
         dc *= f
 
+    rows = _rows(h)
+    grads.w_h[:, rows] = gw[:, :h].T
+    grads.w_x[:, rows] = gw[:, h:h + d].T
+    grads.b[rows] = gw[:, -1]
     inv = 1.0 / batch
     grads.vec *= inv
     return grads, float(resid @ resid) * inv
@@ -331,9 +355,9 @@ def _as_sequence(window, input_dim: int) -> np.ndarray:
 
 
 def _gate_cache(act: np.ndarray, c: np.ndarray, h: int) -> GateCache:
-    i, f, g, o = _gates(act, h)
-    return GateCache(input_gate=i[0], forget_gate=f[0], candidate=g[0],
-                     output_gate=o[0], cell=c[0])
+    i, f, o, g = _gates(act[:, 0], h)
+    return GateCache(input_gate=i, forget_gate=f, candidate=g,
+                     output_gate=o, cell=c[:, 0])
 
 
 def cell_forward(
@@ -347,14 +371,16 @@ def cell_forward(
         )
     if state.h.shape != (params.hidden_size,) or state.c.shape != (params.hidden_size,):
         raise ValueError("state shapes do not match hidden_size")
-    act, c, _, h = _step(x_t[np.newaxis], state.h[np.newaxis], state.c[np.newaxis], params)
-    return LstmState(h=h[0], c=c[0]), _gate_cache(act, c, params.hidden_size)
+    z_t = np.concatenate((state.h, x_t, [1.0]))[:, np.newaxis]
+    h = np.empty_like(state.h)
+    act, c, _ = _step(_gate_matrix(params), z_t, state.c[:, np.newaxis], h[:, np.newaxis])
+    return LstmState(h=h, c=c[:, 0]), _gate_cache(act, c, params.hidden_size)
 
 
 def sequence_forward(window, params: LstmParams) -> tuple[float, list[GateCache]]:
     """Unroll the cell over the window from a zero state and apply the head."""
     xs = _as_sequence(window, params.input_dim)
-    pred, (acts, _, cs, _) = _unroll(xs, params, keep=True)
+    pred, (_, _, acts, _, cs) = _unroll(xs, params, keep=True)
     caches = [_gate_cache(act, c, params.hidden_size) for act, c in zip(acts, cs[1:])]
     return float(pred[0]), caches
 
@@ -393,12 +419,6 @@ def predict_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
     return preds
 
 
-def _dataset_mse(params: LstmParams, data: WindowedDataset) -> float:
-    preds = predict_batch(params, data.inputs)
-    diff = preds - data.targets
-    return float(np.mean(diff * diff))
-
-
 def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -416,6 +436,11 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
     n = len(data)
     batch = max(1, hyper.batch_size)
 
+    # train and test windows are scored together, in one predict_batch
+    # call per epoch, and the squared errors split at n
+    eval_inputs = np.concatenate((data.inputs, test.inputs))
+    eval_targets = np.concatenate((ys_all, test.targets))
+
     wanted = set(int(e) for e in snapshot_epochs)
     snapshots: dict[int, LstmParams] = {}
     history: list[TrainRecord] = []
@@ -424,10 +449,12 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
             stop = start + batch
             grads, _ = _batch_grads(xs_all[:, start:stop], ys_all[start:stop], params)
             params, adam = adam_step(params, grads, adam)
+        diff = predict_batch(params, eval_inputs) - eval_targets
+        sq = diff * diff
         history.append(TrainRecord(
             epoch=epoch,
-            train_mse=_dataset_mse(params, data),
-            test_mse=_dataset_mse(params, test),
+            train_mse=float(np.mean(sq[:n])),
+            test_mse=float(np.mean(sq[n:])),
         ))
         if epoch in wanted:
             # adam_step returns fresh parameters, so this one stays as is

@@ -399,6 +399,24 @@ def run_model(cfg: RunConfig, name: str) -> dict:
 
 # --- comparison --------------------------------------------------------
 
+# The fields of a ``{model}_result.json`` that ``run_compare`` reads.
+_RESULT_KEYS = ("dataset_fingerprint", "config_hash", "mse_normalized", "mse_raw",
+                "config_summary", "predictions")
+
+
+def _read_result(path: Path) -> dict:
+    payload = _read_json(path)
+    if not isinstance(payload, dict):
+        raise PipelineError(f"malformed result {path}: not a JSON object")
+    missing = [key for key in _RESULT_KEYS if key not in payload]
+    if missing:
+        raise PipelineError(f"malformed result {path}: missing {', '.join(missing)}")
+    for key in ("dataset_fingerprint", "config_hash"):
+        if not isinstance(payload[key], str):
+            raise PipelineError(f"malformed result {path}: {key} is not a string")
+    return payload
+
+
 def run_compare(cfg: RunConfig, models=MODEL_NAMES, subset_ok: bool = False) -> evaluation.EvalReport:
     """Assemble the cross-model report from the per-model result files."""
     out = Path(cfg.out_dir)
@@ -407,7 +425,7 @@ def run_compare(cfg: RunConfig, models=MODEL_NAMES, subset_ok: bool = False) -> 
     for name in models:
         path = out / f"{name}_result.json"
         if path.exists():
-            available[name] = _read_json(path)
+            available[name] = _read_result(path)
         else:
             missing.append(str(path))
     if missing and not subset_ok:
@@ -424,15 +442,21 @@ def run_compare(cfg: RunConfig, models=MODEL_NAMES, subset_ok: bool = False) -> 
                 + ", ".join(f"{name}={value}" for name, value in values.items())
                 + " (rerun the models against one prepare and config)")
 
-    results = [
-        evaluation.ModelResult(
-            model_name=name,
-            mse_normalized=payload["mse_normalized"],
-            mse_raw=payload["mse_raw"],
-            config_summary=payload["config_summary"],
-        )
-        for name, payload in available.items()
-    ]
+    # every value is checked before the first file is written
+    results, prediction_rows = [], {}
+    for name, payload in available.items():
+        try:
+            results.append(evaluation.ModelResult(
+                model_name=name,
+                mse_normalized=payload["mse_normalized"],
+                mse_raw=payload["mse_raw"],
+                config_summary=dict(payload["config_summary"]),
+            ))
+            prediction_rows[name] = [(p["date"], p["actual"], p["predicted"])
+                                     for p in payload["predictions"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            path = out / f"{name}_result.json"
+            raise PipelineError(f"malformed result {path}: {exc!r}") from exc
     fingerprint = next(iter(available.values()))["dataset_fingerprint"]
     report = evaluation.compare(results, dataset_fingerprint=fingerprint)
 
@@ -468,9 +492,7 @@ def run_compare(cfg: RunConfig, models=MODEL_NAMES, subset_ok: bool = False) -> 
     lines += ["", f"winner: {report.winner}"]
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    for name, payload in available.items():
-        rows = [(p["date"], p["actual"], p["predicted"])
-                for p in payload["predictions"]]
+    for name, rows in prediction_rows.items():
         _write_table(out / f"predictions_{name}.csv",
                      ["date", "actual", "predicted"], rows, cfg_hash, cfg.seed)
     return report

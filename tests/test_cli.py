@@ -1,8 +1,12 @@
 import http.server
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +354,22 @@ class TestCompare:
         assert str(path) in capsys.readouterr().err
         assert not (copy / "report.json").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda payload: {},
+        lambda payload: [1],
+        lambda payload: {k: v for k, v in payload.items() if k != "mse_raw"},
+        lambda payload: payload | {"mse_normalized": -1},
+        lambda payload: payload | {"dataset_fingerprint": ["x"]},
+    ], ids=["empty_object", "list", "missing_mse_raw", "negative_mse", "list_fingerprint"])
+    def test_malformed_result_exits_4(self, full_run, tmp_path, capsys, edit):
+        copy, args = _private_copy(full_run, tmp_path)
+        path = copy / "svr_result.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert main(["compare", *args]) == 4
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not (copy / "report.json").exists()
+
     def test_missing_config_exits_4(self, full_run, tmp_path, capsys):
         out, _ = full_run
         missing = tmp_path / "nope.ini"
@@ -406,12 +426,20 @@ class TestFetch:
             calls.append((url, timeout))
             return io.BytesIO(b"Date,Close\n")
 
-        monkeypatch.setattr(cli.urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         dest = tmp_path / "x.csv"
         assert main(["fetch", "--url", "http://example.invalid/x.csv",
                      "--input", str(dest)]) == 0
         assert calls == [("http://example.invalid/x.csv", cli.FETCH_TIMEOUT_S)]
         assert dest.read_bytes() == b"Date,Close\n"
+
+    def test_cli_import_leaves_urllib_request_unloaded(self):
+        code = "import sys, cryptobench.cli; print('urllib.request' in sys.modules)"
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(cryptobench.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_fetch_bad_url_exits_2(self, tmp_path, capsys):
         dest = tmp_path / "x.csv"

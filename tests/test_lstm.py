@@ -134,6 +134,15 @@ class TestSequenceForward:
         pred, _ = sequence_forward(window, p)
         np.testing.assert_allclose(pred, expected, rtol=1e-14)
 
+    def test_two_features_match_scalar_oracle(self):
+        rng = np.random.default_rng(4)
+        for hidden in (1, 3):
+            p = random_params(2, hidden, seed=200 + hidden)
+            window = rng.normal(size=(5, 2))
+            pred, _ = sequence_forward(window, p)
+            oracle = lstm_scalar_sequence(window.tolist(), lstm_params_as_lists(p))
+            np.testing.assert_allclose(pred, oracle, rtol=1e-12)
+
     def test_empty_window(self):
         with pytest.raises(ValueError):
             sequence_forward(np.array([]), LstmParams.zeros(1, 2))
@@ -185,6 +194,31 @@ class TestBpttGradients:
         preds = lstm.predict_batch(p, inputs)
         expected_loss = float(np.mean((preds - targets) ** 2))
         np.testing.assert_allclose(loss, expected_loss, rtol=1e-12)
+
+    def test_two_feature_batch_is_mean_of_per_sample(self):
+        # D = 2 exercises every x_t row of z_t = [h_{t-1}; x_t; 1]
+        p = random_params(2, 4, seed=52)
+        rng = np.random.default_rng(8)
+        inputs = rng.normal(size=(6, 5, 2))
+        targets = rng.normal(size=6)
+        grads, _ = lstm._batch_grads(lstm._time_major(inputs), targets, p)
+        per_sample = np.mean(
+            [bptt_gradients(inputs[k], targets[k], p).to_vector() for k in range(6)],
+            axis=0)
+        np.testing.assert_allclose(grads.to_vector(), per_sample, rtol=1e-12, atol=1e-15)
+
+    def test_two_feature_gradients_match_finite_differences(self):
+        p = random_params(2, 3, seed=1033)
+        window = np.random.default_rng(2033).normal(size=(4, 2)) * 0.8
+        target = float(np.random.default_rng(3033).normal())
+        analytic = bptt_gradients(window, target, p).to_vector()
+
+        def loss(theta):
+            pred, _ = sequence_forward(window, LstmParams.from_vector(theta, 2, 3))
+            return (pred - target) ** 2
+
+        numeric = central_difference_gradient(loss, p.to_vector(), step=1e-6)
+        assert float(relative_mismatch(analytic, numeric).max()) < 1e-5
 
     def test_ragged_final_batch(self):
         # 37 windows in batches of 32 leave a final batch of 5
@@ -307,6 +341,20 @@ class TestEpochGrid:
         assert [r[0] for r in rows] == [3, 1, 2]
         assert sorted(snapshots) == [1, 2, 3]
         assert len(history) == 3
+
+    def test_history_splits_one_evaluation_pass(self):
+        # train and test windows are predicted in one call per epoch; each
+        # record must equal a separate prediction of its own slice
+        series = np.cos(np.linspace(0, 6, 70))
+        train_ds = make_windows(series[:45], 5)
+        test_ds = make_windows(series[40:], 5)
+        cfg = LstmConfig(hidden_size=4, batch_size=8)
+        _, snapshots, history = epoch_grid(train_ds, test_ds, [1, 2, 3], seed=5, hyper=cfg)
+        for record in history:
+            model = snapshots[record.epoch]
+            for data, mse in ((train_ds, record.train_mse), (test_ds, record.test_mse)):
+                diff = lstm.predict_batch(model, data.inputs) - data.targets
+                np.testing.assert_allclose(mse, np.mean(diff * diff), rtol=1e-12)
 
     def test_grid_rows_equal_independent_runs(self):
         data = make_windows(np.cos(np.linspace(0, 4, 30)), 5)
