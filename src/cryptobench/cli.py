@@ -90,7 +90,8 @@ def _cmd_run(args) -> int:
     try:
         cfg = resolve_config(args)
         payload = pipeline.run_model(cfg, args.model)
-    except (ConfigError, pipeline.PipelineError, DatasetError, ValueError) as exc:
+    except (ConfigError, pipeline.PipelineError, DatasetError, ValueError,
+            ChildProcessError) as exc:
         print(f"run {args.model} failed: {exc}", file=sys.stderr)
         return EXIT_MODEL
     print(f"{args.model}: mse_normalized={payload['mse_normalized']!r} "

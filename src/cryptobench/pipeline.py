@@ -9,7 +9,7 @@ Artifact layout under ``out_dir``:
     {model}_model.json    bit-exact serialized winning model
     {model}_result.json   scores + winning config + prediction dump
     svr_grid.csv          kernel,gamma,c,mse     (cross-validation MSE)
-    svr_best.json         winning grid cell
+    svr_best.json         winning grid cell + grid work totals
     poly_degrees.csv      degree,mse             (test MSE)
     comparison.csv        model,mse_normalized,mse_raw
     report.json / report.txt
@@ -306,6 +306,9 @@ def _fit_svr(cfg: RunConfig, prepared: PreparedData) -> _Fit:
             "cv_mse": best_cell.cv_mse,
             "converged_folds": best_cell.converged_folds,
             "max_n_iter": best_cell.max_n_iter,
+            "grid_fits": grid.fits,
+            "grid_smo_iterations": grid.smo_iterations,
+            "grid_capped_fits": grid.capped_fits,
         }},
         model={
             "features": cfg.svr_features,

@@ -14,6 +14,7 @@ holds throughout.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -107,6 +108,9 @@ class GridCell:
 class SvrGrid:
     cells: list[GridCell]
     best_index: int
+    fits: int  # fold fits run: distinct fits x folds
+    smo_iterations: int  # SMO iterations summed over those fits
+    capped_fits: int  # fold fits that stopped short of tol
 
     @property
     def best(self) -> GridCell:
@@ -359,22 +363,17 @@ def _fold_bounds(n: int, k: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _cross_validate(X, y, bounds, cfg: SvrConfig) -> tuple[float, int, int]:
-    """Mean held-out MSE over the folds, converged fold count, max n_iter."""
-    n = y.shape[0]
-    fold_mses = []
-    converged = 0
-    max_n_iter = 0
-    for start, stop in bounds:
-        mask = np.ones(n, dtype=bool)
-        mask[start:stop] = False
+def _fold_fit(task) -> tuple[float, bool, int]:
+    """Fit one distinct config on all folds but one and score the held-out
+    fold: (fold MSE, converged, SMO iterations)."""
+    X, y, (start, stop), cfg = task
+    mask = np.ones(y.shape[0], dtype=bool)
+    mask[start:stop] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
         model = fit(X[mask], y[mask], cfg)
-        preds = predict_batch(model, X[start:stop])
-        resid = preds - y[start:stop]
-        fold_mses.append(float(np.mean(resid * resid)))
-        converged += model.converged
-        max_n_iter = max(max_n_iter, model.n_iter)
-    return float(np.mean(fold_mses)), converged, max_n_iter
+    resid = predict_batch(model, X[start:stop]) - y[start:stop]
+    return float(np.mean(resid * resid)), model.converged, model.n_iter
 
 
 def grid_search(
@@ -396,16 +395,29 @@ def grid_search(
 
     Each distinct fit is cross-validated once, keyed by (kind, gamma,
     C).  The linear kernel ignores gamma, so its key drops gamma: the
-    first gamma row runs the k fold fits of each C and the other gamma
-    rows reuse those scores, bit for bit, while each cell keeps its own
-    gamma.  Every distinct fit still runs through ``fit`` and
-    ``predict_batch``.
+    first gamma row's config runs the k fold fits of each C and the
+    other gamma rows reuse those scores, bit for bit, while each cell
+    keeps its own gamma.  Every (distinct fit, fold) task runs through
+    ``fit`` and ``predict_batch``.
+
+    The tasks share nothing, so they run on one forked worker process
+    per usable CPU (``os.sched_getaffinity``, capped at the task count),
+    or in this process when only one CPU is usable.  There is no knob:
+    the results are reassembled in fold order and averaged exactly as a
+    serial loop would, so the grid is bit-identical either way.  An
+    exception raised in a worker reaches the caller unchanged; a worker
+    that dies raises ``ChildProcessError``.  Python >= 3.12 warns when
+    it forks a process whose BLAS threads are alive.  Code that wraps
+    ``fit`` in the calling process, such as perfbench's ``svr.*`` spans,
+    sees only the fits made there (on several CPUs, none of the grid's),
+    so the grid returns its own work totals.
 
     Non-converged folds keep their best-iterate score, so the table
     always fills.  The per-fold ConvergenceWarnings are suppressed in
     favour of one summary ConvergenceWarning naming the fits with
     non-converged folds; each cell records ``converged_folds`` and
-    ``max_n_iter``.
+    ``max_n_iter``, and the grid records its total fold fits, SMO
+    iterations and capped fold fits.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 1 and np.asarray(y).size != 1:
@@ -420,22 +432,41 @@ def grid_search(
     if n - max(stop - start for start, stop in bounds) < 2:
         raise TooFewSamplesError(
             f"{n} samples leave fewer than 2 training points per {k}-fold split")
+    fits: dict[tuple, SvrConfig] = {}
+    cell_keys: list[tuple[str, float, float, tuple]] = []
+    for kind in kernels:
+        for gamma in gammas:
+            spec = KernelSpec(kind=kind, gamma=float(gamma), coef0=coef0)
+            for c in cs:
+                key = (kind, None if kind == "linear" else float(gamma), float(c))
+                if key not in fits:
+                    fits[key] = SvrConfig(kernel=spec, c=float(c), epsilon=epsilon, tol=tol)
+                cell_keys.append((kind, float(gamma), float(c), key))
+
+    tasks = [(X, y, fold, cfg) for cfg in fits.values() for fold in bounds]
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers > 1:
+        # imported here, so that importing the package does not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(_fold_fit, tasks))
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(f"an SVR grid worker died: {exc}") from exc
+    else:
+        results = list(map(_fold_fit, tasks))
+
     scores: dict[tuple, tuple[float, int, int]] = {}
-    cells: list[GridCell] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        for kind in kernels:
-            for gamma in gammas:
-                spec = KernelSpec(kind=kind, gamma=float(gamma), coef0=coef0)
-                for c in cs:
-                    key = (kind, None if kind == "linear" else float(gamma), float(c))
-                    if key not in scores:
-                        scores[key] = _cross_validate(X, y, bounds, SvrConfig(
-                            kernel=spec, c=float(c), epsilon=epsilon, tol=tol))
-                    cv_mse, converged_folds, max_n_iter = scores[key]
-                    cells.append(GridCell(kernel=kind, gamma=float(gamma), c=float(c),
-                                          cv_mse=cv_mse, converged_folds=converged_folds,
-                                          max_n_iter=max_n_iter))
+    for index, key in enumerate(fits):
+        folds = results[index * k:(index + 1) * k]
+        scores[key] = (float(np.mean([mse for mse, _, _ in folds])),
+                       sum(converged for _, converged, _ in folds),
+                       max(n_iter for _, _, n_iter in folds))
+    cells = [GridCell(kind, gamma, c, *scores[key]) for kind, gamma, c, key in cell_keys]
     capped = [
         f"{kind}{'' if gamma is None else f' gamma={gamma:g}'} C={c:g} "
         f"({k - converged_folds} of {k} folds)"
@@ -450,4 +481,6 @@ def grid_search(
             stacklevel=2,
         )
     best = int(np.argmin([cell.cv_mse for cell in cells]))
-    return SvrGrid(cells=cells, best_index=best)
+    return SvrGrid(cells=cells, best_index=best, fits=len(results),
+                   smo_iterations=sum(n_iter for _, _, n_iter in results),
+                   capped_fits=sum(not converged for _, converged, _ in results))

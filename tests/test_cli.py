@@ -197,6 +197,43 @@ class TestRun:
         assert result["config_summary"]["features"] == "window"
         assert len(result["predictions"]) == 12
 
+    def _failing_svr_grid(self, tmp_path, small_ini, capsys, monkeypatch, fail):
+        """``run svr`` on two workers whose ``fit`` calls ``fail``; returns
+        the exit code, the stderr lines and the ``svr_*`` files left."""
+        out = tmp_path / "out"
+        base = ["--input", SAMPLE, "--config", small_ini, "--out-dir", str(out)]
+        assert main(["prepare", *base]) == 0
+        capsys.readouterr()
+        parent = os.getpid()
+        real_fit = svr_mod.fit
+
+        def fit_in_worker(X, y, cfg):
+            if os.getpid() != parent:
+                fail()
+            return real_fit(X, y, cfg)
+
+        monkeypatch.setattr(svr_mod, "fit", fit_in_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code = main(["run", "svr", *base])
+        return code, capsys.readouterr().err.splitlines(), sorted(out.glob("svr_*"))
+
+    def test_svr_worker_exception_exits_3(self, tmp_path, small_ini, capsys, monkeypatch):
+        def fail():
+            raise ValueError("worker fit failed")
+
+        code, err, left = self._failing_svr_grid(tmp_path, small_ini, capsys, monkeypatch, fail)
+        assert code == 3
+        assert err == ["run svr failed: worker fit failed"]
+        assert left == []
+
+    def test_svr_worker_death_exits_3(self, tmp_path, small_ini, capsys, monkeypatch):
+        code, err, left = self._failing_svr_grid(tmp_path, small_ini, capsys, monkeypatch,
+                                                 lambda: os._exit(1))
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("run svr failed: "), err
+        assert "worker died" in err[0]
+        assert left == []
+
     def test_config_mismatch_exits_3(self, full_run, tmp_path, capsys):
         out, _ = full_run
         # different window than the prepared artifacts were built with
@@ -440,6 +477,15 @@ class TestFetch:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_process_pools_unloaded(self):
+        code = ("import sys, cryptobench.cli; "
+                "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(cryptobench.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_fetch_bad_url_exits_2(self, tmp_path, capsys):
         dest = tmp_path / "x.csv"

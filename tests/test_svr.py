@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -328,13 +329,15 @@ class TestGridSearch:
         for c, mses in by_c.items():
             assert len(set(mses)) == 1, f"C={c} rows differ across gammas: {mses}"
 
-    def test_each_distinct_fit_runs_once_per_fold(self, monkeypatch):
+    def test_each_distinct_fit_runs_once_per_fold(self, monkeypatch, tmp_path):
         X, y = self._data()
-        kinds = []
+        calls = tmp_path / "fit_calls.txt"
         real_fit = svr.fit
 
         def counting_fit(X, y, cfg):
-            kinds.append(cfg.kernel.kind)
+            # one line per call, appended from whichever process fits
+            with open(calls, "a") as log:
+                log.write(cfg.kernel.kind + "\n")
             return real_fit(X, y, cfg)
 
         monkeypatch.setattr(svr, "fit", counting_fit)
@@ -342,9 +345,30 @@ class TestGridSearch:
             warnings.simplefilter("ignore", ConvergenceWarning)
             grid = grid_search(X, y, ("rbf", "sigmoid", "linear"), self.GAMMAS, self.CS, k=5)
         assert len(grid.cells) == 48
+        kinds = calls.read_text().splitlines()
         # 16 rbf + 16 sigmoid + 4 linear (one per C) distinct cells
         assert len(kinds) == 36 * 5
         assert kinds.count("linear") == 4 * 5
+        assert grid.fits == 36 * 5
+
+    def test_one_cpu_grid_equals_pooled_grid(self, monkeypatch):
+        # n = 40 time feature: capped folds are part of the comparison
+        X, y = time_feature_series(40, seed=0)
+        kinds = ("rbf", "sigmoid", "linear")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            pooled = grid_search(X, y, kinds, self.GAMMAS, self.CS, k=5)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            serial = grid_search(X, y, kinds, self.GAMMAS, self.CS, k=5)
+        assert len(serial.cells) == 48
+        for a, b in zip(serial.cells, pooled.cells):
+            assert a == b
+            assert np.float64(a.cv_mse).tobytes() == np.float64(b.cv_mse).tobytes()
+        assert serial.best_index == pooled.best_index
+        assert ((serial.fits, serial.smo_iterations, serial.capped_fits)
+                == (pooled.fits, pooled.smo_iterations, pooled.capped_fits))
+        assert serial.capped_fits > 0
 
     def test_every_cell_matches_its_own_fold_loop(self):
         # time feature at n = 40: the linear and rbf C = 1000 folds hit the
@@ -355,6 +379,7 @@ class TestGridSearch:
             warnings.simplefilter("ignore", ConvergenceWarning)
             grid = grid_search(X, y, ("rbf", "sigmoid", "linear"), self.GAMMAS, self.CS, k=k)
             assert len(grid.cells) == 48
+            distinct = {}
             for cell in grid.cells:
                 cfg = SvrConfig(kernel=KernelSpec(cell.kernel, gamma=cell.gamma), c=cell.c)
                 fold_mses, models = [], []
@@ -367,7 +392,13 @@ class TestGridSearch:
                 assert cell.cv_mse == float(np.mean(fold_mses)), cell
                 assert cell.converged_folds == sum(m.converged for m in models), cell
                 assert cell.max_n_iter == max(m.n_iter for m in models), cell
+                gamma = None if cell.kernel == "linear" else cell.gamma
+                distinct[(cell.kernel, gamma, cell.c)] = models
         assert any(c.kernel == "linear" and c.converged_folds < k for c in grid.cells)
+        fold_models = [m for models in distinct.values() for m in models]
+        assert grid.fits == len(fold_models) == 36 * k
+        assert grid.smo_iterations == sum(m.n_iter for m in fold_models)
+        assert grid.capped_fits == sum(not m.converged for m in fold_models) > 0
 
     def test_one_summary_warning_names_capped_fits(self):
         X, y = time_feature_series(40, seed=0)
