@@ -1,24 +1,23 @@
 """From-scratch single-layer LSTM regressor trained by BPTT + Adam.
 
-The recurrence, with the four gates in the i, f, g, o order of cuDNN and
-PyTorch's ``nn.LSTM``:
+The recurrence, gates-major: with z_t = [h_{t-1}; x_t; 1] of length
+H+D+1 and one weight matrix W of shape (4H, H+D+1),
 
-    [a_i a_f a_g a_o] = x_t.W_x + h_{t-1}.W_h + b     W_x (D, 4H), W_h (H, 4H)
-    i_t = sigmoid(a_i)   f_t = sigmoid(a_f)   g_t = tanh(a_g)   o_t = sigmoid(a_o)
+    [a_i; a_f; a_o; a_g] = W . z_t
+    i_t = sigmoid(a_i)   f_t = sigmoid(a_f)   o_t = sigmoid(a_o)   g_t = tanh(a_g)
     C_t = f_t * C_{t-1} + i_t * g_t
     h_t = o_t * tanh(C_t)
 
 with a linear scalar head pred = h_T . w_y + b_y and per-sample loss
-(pred - target)^2.  The flat parameter vector and the checkpoint keep
-that i, f, g, o layout.  The kernels run gates-major instead: each call
-gathers W = [W_h^T | W_x^T | b], shape (4H, H+D+1), with its rows in
-i, f, o, g order, and a batch of B windows keeps z_t = [h_{t-1}; x_t; 1]
-as (H+D+1, B) columns.  A step is then one product W . z_t, the sigmoid
-runs on one contiguous 3H-row block and tanh on the last H rows, and the
-reverse pass accumulates the gradient of W as one product per step.
-Everything runs in float64 numpy; the per-sample operations
-(``cell_forward``, ``sequence_forward``, ``bptt_gradients``) run the same
-code with B = 1.
+(pred - target)^2.  The row blocks of W are the gates in i, f, o, g
+order and its columns are [h | x | 1], so the three sigmoid gates are one
+contiguous 3H-row block, tanh runs on the last H rows, and a batch of B
+windows keeps z_t as (H+D+1, B) columns: a step is one product W . z_t,
+and the reverse pass accumulates the gradient of W as one product per
+step.  W is stored as it is multiplied, as the head of the flat
+parameter vector (``LstmParams``).  Everything runs in float64 numpy; the
+per-sample operations (``cell_forward``, ``sequence_forward``,
+``bptt_gradients``) run the same code with B = 1.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 # Per-gate names of the weights, in the order ``init_params`` draws them;
-# also the field names of the v1 checkpoint.
+# also the field names of the v1 checkpoint.  "c" is the candidate g.
 _WEIGHT_FIELDS = (
     "w_ix", "w_fx", "w_cx", "w_ox",
     "w_ih", "w_fh", "w_ch", "w_oh",
@@ -70,27 +69,32 @@ def _vector_size(d: int, h: int) -> int:
     return 4 * h * (d + h + 1) + h + 1
 
 
-def _gate_view(block: str, k: int) -> property:
+def _gate_view(name: str) -> property:
+    # name[2] is the gate, so the row block of w; the rest picks the columns
+    k = "ifoc".index(name[2])
+
     def view(self):
         h = self.hidden_size
-        return getattr(self, block)[..., k * h:(k + 1) * h]
+        rows = self.w[k * h:(k + 1) * h]
+        return {"h": rows[:, :h].T, "x": rows[:, h:-1].T, "": rows[:, -1]}[name[3:]]
 
-    return property(view, doc=f"gate {'ifgo'[k]} columns of ``{block}`` (a view)")
+    return property(view, doc=f"``{name}``, a view of its block of ``w``")
 
 
 class LstmParams:
     """All gate weights plus the scalar output head, in one flat vector.
 
-    ``vec`` is laid out as W_x (D, 4H), W_h (H, 4H), b (4H), w_y (H) and
-    b_y.  ``w_x``, ``w_h``, ``b`` and ``w_y`` are views into it, and so
-    are the per-gate names (``w_ix`` is ``w_x[:, :H]``, ...); writing
+    ``vec`` holds W (4H, H+D+1) in C order, gate rows i, f, o, g and
+    columns [h | x | 1] as the module docstring lays out, then w_y (H)
+    and b_y.  ``w`` and ``w_y`` are views into it, and so are the
+    per-gate checkpoint names of ``_WEIGHT_FIELDS`` (``w_cx`` is
+    ``w[3H:4H, H:H+D].T``, ``b_f`` is ``w[H:2H, -1]``, ...); writing
     through any of them updates ``vec``.  Also serves as the container
     for gradients, which share the layout.
     """
 
-    w_ix, w_fx, w_cx, w_ox = (_gate_view("w_x", k) for k in range(4))
-    w_ih, w_fh, w_ch, w_oh = (_gate_view("w_h", k) for k in range(4))
-    b_i, b_f, b_c, b_o = (_gate_view("b", k) for k in range(4))
+    (w_ix, w_fx, w_cx, w_ox, w_ih, w_fh, w_ch, w_oh,
+     b_i, b_f, b_c, b_o) = (_gate_view(name) for name in _WEIGHT_FIELDS[:-1])
 
     def __init__(self, vec: np.ndarray, input_dim: int, hidden_size: int):
         d, h = input_dim, hidden_size
@@ -99,12 +103,8 @@ class LstmParams:
         self.vec = vec
         self.input_dim = d
         self.hidden_size = h
-        wh_start = 4 * d * h
-        b_start = wh_start + 4 * h * h
-        self.w_x = vec[:wh_start].reshape(d, 4 * h)
-        self.w_h = vec[wh_start:b_start].reshape(h, 4 * h)
-        self.b = vec[b_start:b_start + 4 * h]
-        self.w_y = vec[b_start + 4 * h:-1]
+        self.w = vec[:-h - 1].reshape(4 * h, h + d + 1)
+        self.w_y = vec[-h - 1:-1]
 
     @property
     def b_y(self) -> float:
@@ -210,6 +210,11 @@ class LstmConfig:
     adam_eps: float = 1e-8
     batch_size: int = 32
 
+    def __post_init__(self):
+        for name in ("hidden_size", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 def init_params(input_dim: int, hidden_size: int, rng: np.random.Generator) -> LstmParams:
     """Uniform(-k, k) init with k = 1/sqrt(H); forget bias starts at 1."""
@@ -225,17 +230,6 @@ def init_params(input_dim: int, hidden_size: int, rng: np.random.Generator) -> L
 
 # --- gates-major kernels (layout in the module docstring) --------------
 # Windows are time-major, xs (T, B, D).
-
-def _rows(h: int) -> np.ndarray:
-    """Flat-vector columns (i, f, g, o order) of the W rows (i, f, o, g)."""
-    return np.r_[0:2 * h, 3 * h:4 * h, 2 * h:3 * h]
-
-
-def _gate_matrix(params: LstmParams) -> np.ndarray:
-    """W = [W_h^T | W_x^T | b] with its rows in i, f, o, g order (a copy)."""
-    stacked = np.concatenate((params.w_h, params.w_x, params.b[np.newaxis]))
-    return stacked[:, _rows(params.hidden_size)].T
-
 
 def _gates(act: np.ndarray, h: int):
     """The i, f, o, g row blocks of a (4H, B) array, as views."""
@@ -266,49 +260,46 @@ def _step(w: np.ndarray, z_t: np.ndarray, c_prev: np.ndarray, h_out: np.ndarray)
 def _unroll(xs: np.ndarray, params: LstmParams, keep: bool = False):
     """Run the cell over time-major windows from a zero state.
 
-    Returns the head output (B,) and what the reverse pass reads: W, the
+    Returns the head output (B,) and what the reverse pass reads: the
     (T+1, H+D+1, B) stack of z_t (``z[T, :H]`` is h_T) and, with
     ``keep``, the per-step gate activations and tanh(C_t) and the cell
     states with the zero initial state first (``cs[t]`` is C_{t-1}).
     """
     steps, batch, d = xs.shape
     h = params.hidden_size
-    w = _gate_matrix(params)
     z = np.ones((steps + 1, h + d + 1, batch))
     z[0, :h] = 0.0
     z[:-1, h:h + d] = xs.transpose(0, 2, 1)
     c = np.zeros((h, batch))
     acts, tcs, cs = [], [], [c]
     for t in range(steps):
-        act, c, tc = _step(w, z[t], c, z[t + 1, :h])
+        act, c, tc = _step(params.w, z[t], c, z[t + 1, :h])
         if keep:
             acts.append(act)
             tcs.append(tc)
             cs.append(c)
-    return params.w_y @ z[-1, :h] + params.b_y, (w, z, acts, tcs, cs)
+    return params.w_y @ z[-1, :h] + params.b_y, (z, acts, tcs, cs)
 
 
 def _batch_grads(xs: np.ndarray, targets: np.ndarray, params: LstmParams):
     """Mean gradient of the squared error over a batch, plus the mean loss.
 
     Only gates and states are kept across the window; the gradient of W
-    accumulates step by step as delta_t . z_t^T and is scattered back
-    into the flat layout once.
+    accumulates step by step as delta_t . z_t^T, in place in ``grads.w``.
     """
     _, batch, d = xs.shape
     h = params.hidden_size
-    pred, (w, z, acts, tcs, cs) = _unroll(xs, params, keep=True)
+    pred, (z, acts, tcs, cs) = _unroll(xs, params, keep=True)
     resid = pred - targets
     dpred = 2.0 * resid
     grads = LstmParams.zeros(d, h)
     grads.w_y[...] = z[-1, :h] @ dpred
     grads.b_y = dpred.sum()
 
-    w_h_t = w[:, :h].T
+    w_h_t = params.w[:, :h].T
     dh = np.outer(params.w_y, dpred)
     dc = np.zeros_like(dh)
     da = np.empty((4 * h, batch))
-    gw = np.zeros_like(w)
     for t in range(len(acts) - 1, -1, -1):
         act, tc = acts[t], tcs[t]
         i, f, o, g = _gates(act, h)
@@ -319,14 +310,10 @@ def _batch_grads(xs: np.ndarray, targets: np.ndarray, params: LstmParams):
         sig = act[:3 * h]
         da[:3 * h] *= sig * (1.0 - sig)
         da[3 * h:] *= 1.0 - g * g
-        gw += da @ z[t].T
+        grads.w += da @ z[t].T
         dh = w_h_t @ da
         dc *= f
 
-    rows = _rows(h)
-    grads.w_h[:, rows] = gw[:, :h].T
-    grads.w_x[:, rows] = gw[:, h:h + d].T
-    grads.b[rows] = gw[:, -1]
     inv = 1.0 / batch
     grads.vec *= inv
     return grads, float(resid @ resid) * inv
@@ -373,14 +360,14 @@ def cell_forward(
         raise ValueError("state shapes do not match hidden_size")
     z_t = np.concatenate((state.h, x_t, [1.0]))[:, np.newaxis]
     h = np.empty_like(state.h)
-    act, c, _ = _step(_gate_matrix(params), z_t, state.c[:, np.newaxis], h[:, np.newaxis])
+    act, c, _ = _step(params.w, z_t, state.c[:, np.newaxis], h[:, np.newaxis])
     return LstmState(h=h, c=c[:, 0]), _gate_cache(act, c, params.hidden_size)
 
 
 def sequence_forward(window, params: LstmParams) -> tuple[float, list[GateCache]]:
     """Unroll the cell over the window from a zero state and apply the head."""
     xs = _as_sequence(window, params.input_dim)
-    pred, (_, _, acts, _, cs) = _unroll(xs, params, keep=True)
+    pred, (_, acts, _, cs) = _unroll(xs, params, keep=True)
     caches = [_gate_cache(act, c, params.hidden_size) for act, c in zip(acts, cs[1:])]
     return float(pred[0]), caches
 
@@ -434,7 +421,6 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
     xs_all = _time_major(data.inputs)
     ys_all = np.asarray(data.targets, dtype=np.float64)
     n = len(data)
-    batch = max(1, hyper.batch_size)
 
     # train and test windows are scored together, in one predict_batch
     # call per epoch, and the squared errors split at n
@@ -445,8 +431,8 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
     snapshots: dict[int, LstmParams] = {}
     history: list[TrainRecord] = []
     for epoch in range(1, epochs + 1):
-        for start in range(0, n, batch):
-            stop = start + batch
+        for start in range(0, n, hyper.batch_size):
+            stop = start + hyper.batch_size
             grads, _ = _batch_grads(xs_all[:, start:stop], ys_all[start:stop], params)
             params, adam = adam_step(params, grads, adam)
         diff = predict_batch(params, eval_inputs) - eval_targets

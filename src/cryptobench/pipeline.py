@@ -128,7 +128,13 @@ def prepare(cfg: RunConfig) -> dict:
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
     raw_bytes = path.read_bytes()
-    series = ds.parse_csv(raw_bytes.decode("utf-8"))
+    try:  # utf-8-sig drops the byte-order mark spreadsheet exports start with
+        text = raw_bytes.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object starts past any such mark
+        offset = exc.start + len(raw_bytes) - len(exc.object)
+        raise ds.DatasetError(f"{path} is not UTF-8 text: byte "
+                              f"0x{raw_bytes[offset]:02x} at offset {offset}") from None
+    series = ds.parse_csv(text)
     cleaned = ds.clean(series)
     train, test = ds.chronological_split(cleaned, cfg.train_fraction)
     split_index = len(train)

@@ -126,6 +126,25 @@ class TestPrepare:
         assert main(["prepare", "--input", str(bad), "--out-dir", str(tmp_path)]) == 2
         assert "no records left" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(SAMPLE).read_bytes())
+        for name, csv in (("plain", SAMPLE), ("bom", str(bom))):
+            assert main(["prepare", "--input", csv, "--out-dir", str(tmp_path / name)]) == 0
+        assert (read_table(tmp_path / "bom" / "prepared.csv")
+                == read_table(tmp_path / "plain" / "prepared.csv"))
+
+    def test_undecodable_input_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        raw = Path(SAMPLE).read_bytes()
+        bad.write_bytes(raw[:100] + b"\xff" + raw[100:])
+        out = tmp_path / "out"
+        assert main(["prepare", "--input", str(bad), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("prepare failed:") and "0xff at offset 100" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_default_input_is_bundled_sample(self, tmp_path):
         out = tmp_path / "out"
         assert main(["prepare", "--out-dir", str(out)]) == 0
@@ -233,6 +252,21 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("run svr failed: "), err
         assert "worker died" in err[0]
         assert left == []
+
+    @pytest.mark.parametrize("setting", ["hidden_size = 0", "hidden_size = -3",
+                                         "batch_size = 0"])
+    def test_lstm_size_below_one_exits_3(self, tmp_path, setting, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[lstm]\n{setting}\n")
+        out = tmp_path / "out"
+        base = ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(out)]
+        assert main(["prepare", *base]) == 0
+        capsys.readouterr()
+        assert main(["run", "lstm", *base]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"run lstm failed: {setting.replace(' = ', ' must be >= 1, got ')}"]
+        assert not list(out.glob("lstm_*"))
 
     def test_config_mismatch_exits_3(self, full_run, tmp_path, capsys):
         out, _ = full_run

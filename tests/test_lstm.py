@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -366,3 +368,44 @@ class TestEpochGrid:
             np.testing.assert_array_equal(
                 snapshots[count].to_vector(), model.to_vector())
 
+
+class TestParamsLayout:
+    def test_init_draws_checkpoint_names_in_order(self):
+        d, h = 2, 3
+        k = 1.0 / math.sqrt(h)
+        for seed in range(3):
+            params = init_params(d, h, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            expected = {}
+            for name in ("w_ix", "w_fx", "w_cx", "w_ox", "w_ih", "w_fh", "w_ch", "w_oh", "w_y"):
+                shape = {"x": (d, h), "h": (h, h), "y": (h,)}[name[-1]]
+                expected[name] = rng.uniform(-k, k, size=shape)
+            expected |= {"b_i": np.zeros(h), "b_f": np.ones(h),
+                         "b_c": np.zeros(h), "b_o": np.zeros(h)}
+            for name, value in expected.items():
+                np.testing.assert_array_equal(getattr(params, name), value)
+            assert params.b_y == 0.0
+
+    def test_named_views_alias_gate_blocks_of_w(self):
+        # w is (4H, H+D+1): gate rows i, f, o, g ("c"), columns [h | x | 1]
+        d, h = 2, 3
+        params = LstmParams.zeros(d, h)
+        assert params.w.shape == (4 * h, h + d + 1)
+        assert np.shares_memory(params.w, params.vec)
+        w_ox = np.arange(1.0, 7.0).reshape(d, h)
+        params.b_c[...] = [7.0, 8.0, 9.0]
+        params.w_ox[...] = w_ox
+        expected = np.zeros((4 * h, h + d + 1))
+        expected[3 * h:, -1] = [7.0, 8.0, 9.0]
+        expected[2 * h:3 * h, h:h + d] = w_ox.T
+        np.testing.assert_array_equal(params.w, expected)
+        np.testing.assert_array_equal(params.vec[:expected.size], expected.ravel())
+        np.testing.assert_array_equal(params.vec[expected.size:], 0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden_size", 0), ("hidden_size", -3), ("batch_size", 0), ("batch_size", -1),
+])
+def test_config_rejects_sizes_below_one(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        LstmConfig(**{field: value})
