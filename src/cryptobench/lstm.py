@@ -22,7 +22,9 @@ per-sample operations (``cell_forward``, ``sequence_forward``,
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -36,6 +38,7 @@ __all__ = [
     "GateCache",
     "AdamState",
     "TrainRecord",
+    "Snapshot",
     "LstmConfig",
     "init_params",
     "cell_forward",
@@ -200,6 +203,15 @@ class TrainRecord:
 
 
 @dataclass(frozen=True)
+class Snapshot:
+    """The model after one epoch of the grid and its test predictions,
+    the ones the epoch's test MSE was computed from."""
+
+    params: LstmParams
+    test_predictions: np.ndarray
+
+
+@dataclass(frozen=True)
 class LstmConfig:
     """Trainer hyperparameters (architecture and optimizer constants)."""
 
@@ -214,6 +226,14 @@ class LstmConfig:
         for name in ("hidden_size", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # beta = 1 zeroes a divisor of Adam's bias correction, and a step
+        # size or eps that is not finite and positive gives nan or no descent
+        for name in ("learning_rate", "adam_eps"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 def init_params(input_dim: int, hidden_size: int, rng: np.random.Generator) -> LstmParams:
@@ -406,7 +426,73 @@ def predict_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
     return preds
 
 
+def _serve_scores(conn, parent_end, inputs, hidden_size):
+    """The scorer process: for each parameter vector received, send back
+    ``predict_batch`` of ``inputs``, until the parent closes its end."""
+    parent_end.close()  # the inherited copy would keep the pipe open
+    with contextlib.suppress(EOFError, ConnectionError):
+        while True:
+            vec = np.frombuffer(conn.recv_bytes())
+            conn.send_bytes(predict_batch(LstmParams(vec, 1, hidden_size), inputs))
+
+
+class _ForkedScorer:
+    """``predict_batch`` of fixed windows in one forked process, which
+    inherits the windows; the caller collects each result before it
+    sends the next vector."""
+
+    def __init__(self, inputs, hidden_size):
+        # imported here, so that importing the package does not load it
+        import multiprocessing
+
+        # forked, not spawned: the child starts with numpy loaded and the
+        # windows in memory, where a spawned one would first start an
+        # interpreter and import numpy
+        fork = multiprocessing.get_context("fork")
+        self._conn, child_end = fork.Pipe()
+        self._proc = fork.Process(target=_serve_scores,
+                                  args=(child_end, self._conn, inputs, hidden_size))
+        self._proc.start()
+        child_end.close()
+
+    def send(self, vec: np.ndarray):
+        try:
+            self._conn.send_bytes(vec)
+        except OSError:
+            self._died()
+
+    def collect(self) -> np.ndarray:
+        try:
+            return np.frombuffer(self._conn.recv_bytes())
+        except (EOFError, OSError):
+            self._died()
+
+    def _died(self):
+        self._proc.join()
+        raise ChildProcessError(
+            f"the LSTM scorer process exited with code {self._proc.exitcode}") from None
+
+    def close(self):
+        """Stop the process: it returns once it has sent any result in
+        hand, and finds the pipe closed."""
+        self._conn.close()
+        self._proc.join()
+
+
 def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
+    """Train ``epochs`` epochs, scoring the train and test windows after
+    each; returns the final parameters, the history and the snapshots.
+
+    Scoring is one ``predict_batch`` call over the train and test
+    windows together, split at the train count.  No later epoch reads
+    it, so with more than one usable CPU (``os.sched_getaffinity``) and
+    more than one epoch, a forked scorer process scores each epoch but
+    the last while this process trains the next one; this process
+    collects epoch e's predictions before it sends epoch e + 1, and
+    scores the last epoch itself.  On one CPU it scores every epoch
+    itself.  The predictions, and so the history, are the same bit for
+    bit either way.
+    """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if len(data) == 0:
@@ -421,21 +507,15 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
     xs_all = _time_major(data.inputs)
     ys_all = np.asarray(data.targets, dtype=np.float64)
     n = len(data)
-
-    # train and test windows are scored together, in one predict_batch
-    # call per epoch, and the squared errors split at n
     eval_inputs = np.concatenate((data.inputs, test.inputs))
     eval_targets = np.concatenate((ys_all, test.targets))
 
     wanted = set(int(e) for e in snapshot_epochs)
-    snapshots: dict[int, LstmParams] = {}
+    snapshots: dict[int, Snapshot] = {}
     history: list[TrainRecord] = []
-    for epoch in range(1, epochs + 1):
-        for start in range(0, n, hyper.batch_size):
-            stop = start + hyper.batch_size
-            grads, _ = _batch_grads(xs_all[:, start:stop], ys_all[start:stop], params)
-            params, adam = adam_step(params, grads, adam)
-        diff = predict_batch(params, eval_inputs) - eval_targets
+
+    def record(epoch, params, preds):
+        diff = preds - eval_targets
         sq = diff * diff
         history.append(TrainRecord(
             epoch=epoch,
@@ -443,8 +523,29 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
             test_mse=float(np.mean(sq[n:])),
         ))
         if epoch in wanted:
-            # adam_step returns fresh parameters, so this one stays as is
-            snapshots[epoch] = params
+            # adam_step returns fresh parameters, so these stay as they are
+            snapshots[epoch] = Snapshot(params, preds[n:])
+
+    scorer = None
+    if epochs > 1 and len(os.sched_getaffinity(0)) > 1:
+        scorer = _ForkedScorer(eval_inputs, hyper.hidden_size)
+    in_flight = None
+    try:
+        for epoch in range(1, epochs + 1):
+            for start in range(0, n, hyper.batch_size):
+                stop = start + hyper.batch_size
+                grads, _ = _batch_grads(xs_all[:, start:stop], ys_all[start:stop], params)
+                params, adam = adam_step(params, grads, adam)
+            if in_flight:
+                record(*in_flight, scorer.collect())
+            if scorer and epoch < epochs:
+                scorer.send(params.vec)
+                in_flight = (epoch, params)
+            else:
+                record(epoch, params, predict_batch(params, eval_inputs))
+    finally:
+        if scorer:
+            scorer.close()
     return params, history, snapshots
 
 
@@ -459,7 +560,8 @@ def train(
 
     Samples are visited in time order (no shuffling); one Adam step per
     batch of ``hyper.batch_size``.  The history holds train/test MSE
-    measured after each epoch.
+    measured after each epoch, on a forked scorer process where more
+    than one CPU is usable (see ``_train_loop``).
     """
     params, history, _ = _train_loop(data, test, epochs, seed, hyper, ())
     return params, history
@@ -471,13 +573,19 @@ def epoch_grid(
     epoch_counts: Sequence[int],
     seed: int,
     hyper: LstmConfig = LstmConfig(),
-) -> tuple[list[tuple[int, float]], dict[int, LstmParams], list[TrainRecord]]:
-    """Test MSE after each epoch count in the grid, plus model snapshots.
+) -> tuple[list[tuple[int, float]], dict[int, Snapshot], list[TrainRecord]]:
+    """Test MSE after each epoch count in the grid, plus a snapshot of
+    the model and its test predictions at each count.
 
     Training is deterministic and batches are visited in a fixed order,
     so a run of N epochs passes through exactly the states the shorter
     runs end on; one pass with snapshots therefore reproduces the
-    independent per-count runs bit for bit.
+    independent per-count runs bit for bit.  Each epoch is scored as
+    ``_train_loop`` describes: with more than one usable CPU, all but
+    the last on a forked scorer process while the next epoch trains.
+    Code that wraps ``predict_batch`` in this process, such as
+    perfbench's ``lstm.*`` spans, then sees only the last epoch's
+    scoring.
     """
     counts = [int(e) for e in epoch_counts]
     if not counts or any(e < 1 for e in counts):

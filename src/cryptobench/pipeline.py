@@ -249,7 +249,7 @@ def _fit_lstm(cfg: RunConfig, prepared: PreparedData) -> _Fit:
     rows, snapshots, history = lstm_mod.epoch_grid(
         train_ds, test_ds, cfg.lstm_epochs, cfg.seed, hyper)
     best_epoch = min(rows, key=lambda r: (r[1], r[0]))[0]
-    best = snapshots[best_epoch]
+    best = snapshots[best_epoch].params
     return _Fit(
         tables={
             "lstm_epochs.csv": (["epoch", "mse"], rows),
@@ -270,7 +270,8 @@ def _fit_lstm(cfg: RunConfig, prepared: PreparedData) -> _Fit:
             "batch_size": cfg.lstm_batch_size,
             "window": cfg.window,
         },
-        preds_norm=lstm_mod.predict_batch(best, test_ds.inputs),
+        # the predictions the winning epoch was selected by
+        preds_norm=snapshots[best_epoch].test_predictions,
     )
 
 

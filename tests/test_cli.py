@@ -1,6 +1,7 @@
 import http.server
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -40,6 +41,20 @@ cs = 1.0, 10.0
 [polyreg]
 degrees = 2, 3
 """
+
+
+# an [lstm] setting out of range and the error that ``run lstm`` reports
+BAD_LSTM_SETTINGS = [
+    ("hidden_size = 0", "hidden_size must be >= 1, got 0"),
+    ("hidden_size = -3", "hidden_size must be >= 1, got -3"),
+    ("batch_size = 0", "batch_size must be >= 1, got 0"),
+    ("learning_rate = nan", "learning_rate must be finite and > 0, got nan"),
+    ("learning_rate = 0", "learning_rate must be finite and > 0, got 0.0"),
+    ("adam_eps = -1e-8", "adam_eps must be finite and > 0, got -1e-08"),
+    ("beta1 = 1", "beta1 must be in [0, 1), got 1.0"),
+    ("beta2 = 1", "beta2 must be in [0, 1), got 1.0"),
+    ("beta2 = inf", "beta2 must be in [0, 1), got inf"),
+]
 
 
 @pytest.fixture(scope="session")
@@ -202,6 +217,22 @@ class TestRun:
         assert header == "epoch,train_mse,test_mse"
         assert len(rows) == 2
 
+    def test_lstm_result_reports_the_selected_mse(self, tmp_path):
+        # the result scores the winning epoch's own predictions, so its MSE
+        # is the table's to the last bit; on this run, predicting the test
+        # windows apart from the train windows moves the last bit
+        ini = tmp_path / "lstm.ini"
+        ini.write_text("[lstm]\nepochs = 10, 30\n")
+        out = tmp_path / "out"
+        base = ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(out), "--seed", "42"]
+        assert main(["prepare", *base]) == 0
+        assert main(["run", "lstm", *base]) == 0
+        _, rows = read_table(Path(out) / "lstm_epochs.csv")
+        epoch, mse = min(((int(e), float(m)) for e, m in rows), key=lambda r: (r[1], r[0]))
+        result = json.loads((Path(out) / "lstm_result.json").read_text())
+        assert result["config_summary"]["epochs"] == epoch
+        assert result["mse_normalized"] == mse
+
     def test_missing_config_exits_3(self, full_run, tmp_path, capsys):
         out, _ = full_run
         missing = tmp_path / "nope.ini"
@@ -253,9 +284,9 @@ class TestRun:
         assert "worker died" in err[0]
         assert left == []
 
-    @pytest.mark.parametrize("setting", ["hidden_size = 0", "hidden_size = -3",
-                                         "batch_size = 0"])
-    def test_lstm_size_below_one_exits_3(self, tmp_path, setting, capsys):
+    @pytest.mark.parametrize("setting, message", BAD_LSTM_SETTINGS,
+                             ids=[setting for setting, _ in BAD_LSTM_SETTINGS])
+    def test_lstm_size_below_one_exits_3(self, tmp_path, setting, message, capsys):
         ini = tmp_path / "bad.ini"
         ini.write_text(f"[lstm]\n{setting}\n")
         out = tmp_path / "out"
@@ -264,9 +295,39 @@ class TestRun:
         capsys.readouterr()
         assert main(["run", "lstm", *base]) == 3
         err = capsys.readouterr().err
-        assert err.splitlines() == [
-            f"run lstm failed: {setting.replace(' = ', ' must be >= 1, got ')}"]
+        assert err.splitlines() == [f"run lstm failed: {message}"]
         assert not list(out.glob("lstm_*"))
+
+    def _failing_lstm_scorer(self, tmp_path, small_ini, capsys, monkeypatch, fail):
+        """``run lstm`` with a forked scorer whose ``predict_batch`` calls
+        ``fail``; returns the exit code, the stderr lines and the
+        ``lstm_*`` files left."""
+        out = tmp_path / "out"
+        base = ["--input", SAMPLE, "--config", small_ini, "--out-dir", str(out)]
+        assert main(["prepare", *base]) == 0
+        capsys.readouterr()
+        parent = os.getpid()
+        real_predict = lstm_mod.predict_batch
+
+        def predict_in_scorer(params, inputs):
+            if os.getpid() != parent:
+                fail()
+            return real_predict(params, inputs)
+
+        monkeypatch.setattr(lstm_mod, "predict_batch", predict_in_scorer)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code = main(["run", "lstm", *base])
+        return code, capsys.readouterr().err.splitlines(), sorted(out.glob("lstm_*"))
+
+    @pytest.mark.parametrize("fail", [lambda: os._exit(1), lambda: 1 / 0],
+                             ids=["death", "exception"])
+    def test_lstm_scorer_failure_exits_3(self, tmp_path, small_ini, capsys, monkeypatch, fail):
+        code, err, left = self._failing_lstm_scorer(tmp_path, small_ini, capsys,
+                                                    monkeypatch, fail)
+        assert code == 3
+        assert err == ["run lstm failed: the LSTM scorer process exited with code 1"]
+        assert left == []
+        assert multiprocessing.active_children() == []
 
     def test_config_mismatch_exits_3(self, full_run, tmp_path, capsys):
         out, _ = full_run

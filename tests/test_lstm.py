@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import re
 
 import numpy as np
 import pytest
@@ -353,10 +356,58 @@ class TestEpochGrid:
         cfg = LstmConfig(hidden_size=4, batch_size=8)
         _, snapshots, history = epoch_grid(train_ds, test_ds, [1, 2, 3], seed=5, hyper=cfg)
         for record in history:
-            model = snapshots[record.epoch]
+            model = snapshots[record.epoch].params
             for data, mse in ((train_ds, record.train_mse), (test_ds, record.test_mse)):
                 diff = lstm.predict_batch(model, data.inputs) - data.targets
                 np.testing.assert_allclose(mse, np.mean(diff * diff), rtol=1e-12)
+
+    def test_snapshot_predictions_score_the_test_mse(self):
+        series = np.cos(np.linspace(0, 6, 70))
+        train_ds = make_windows(series[:45], 5)
+        test_ds = make_windows(series[40:], 5)
+        cfg = LstmConfig(hidden_size=4, batch_size=8)
+        rows, snapshots, _ = epoch_grid(train_ds, test_ds, [1, 3], seed=5, hyper=cfg)
+        for epoch, mse in rows:
+            diff = snapshots[epoch].test_predictions - test_ds.targets
+            assert float(np.mean(diff * diff)) == mse
+            np.testing.assert_allclose(
+                snapshots[epoch].test_predictions,
+                lstm.predict_batch(snapshots[epoch].params, test_ds.inputs), rtol=1e-12)
+
+    def test_one_cpu_grid_equals_forked_scorer_grid(self, monkeypatch):
+        # 93 + 31 windows: the evaluation pass spans two predict chunks
+        series = np.sin(np.linspace(0, 9, 135)) * np.linspace(0.5, 1.0, 135)
+        train_ds = make_windows(series[:99], 6)
+        test_ds = make_windows(series[93:], 6)
+        cfg = LstmConfig(hidden_size=5, batch_size=16)
+        parent = os.getpid()
+        calls = []
+        real_predict = lstm.predict_batch
+
+        def counting_predict(params, inputs):
+            calls.append(os.getpid() == parent)
+            return real_predict(params, inputs)
+
+        monkeypatch.setattr(lstm, "predict_batch", counting_predict)
+        runs = {}
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            calls.clear()
+            runs[len(cpus)] = epoch_grid(train_ds, test_ds, [4, 1, 3], seed=9, hyper=cfg)
+            # the parent scores every epoch on one CPU, only the last on two
+            assert calls == [True] * (4 if len(cpus) == 1 else 1)
+        assert multiprocessing.active_children() == []
+
+        (rows_1, snaps_1, hist_1), (rows_2, snaps_2, hist_2) = runs[1], runs[2]
+        assert rows_1 == rows_2 and hist_1 == hist_2
+        for a, b in zip(hist_1, hist_2):
+            assert (np.float64([a.train_mse, a.test_mse]).tobytes()
+                    == np.float64([b.train_mse, b.test_mse]).tobytes())
+        assert sorted(snaps_1) == sorted(snaps_2) == [1, 3, 4]
+        for epoch in snaps_1:
+            assert snaps_1[epoch].params.vec.tobytes() == snaps_2[epoch].params.vec.tobytes()
+            assert (snaps_1[epoch].test_predictions.tobytes()
+                    == snaps_2[epoch].test_predictions.tobytes())
 
     def test_grid_rows_equal_independent_runs(self):
         data = make_windows(np.cos(np.linspace(0, 4, 30)), 5)
@@ -366,7 +417,7 @@ class TestEpochGrid:
             model, history = train(data, data, epochs=count, seed=11, hyper=cfg)
             assert history[-1].test_mse == mse
             np.testing.assert_array_equal(
-                snapshots[count].to_vector(), model.to_vector())
+                snapshots[count].params.to_vector(), model.to_vector())
 
 
 class TestParamsLayout:
@@ -403,9 +454,23 @@ class TestParamsLayout:
         np.testing.assert_array_equal(params.vec[expected.size:], 0.0)
 
 
+# the range each LstmConfig field must lie in, as its error message says
+_CONFIG_RANGES = {"hidden_size": ">= 1", "batch_size": ">= 1",
+                  "learning_rate": "finite and > 0", "adam_eps": "finite and > 0",
+                  "beta1": "in [0, 1)", "beta2": "in [0, 1)"}
+
+
 @pytest.mark.parametrize("field, value", [
     ("hidden_size", 0), ("hidden_size", -3), ("batch_size", 0), ("batch_size", -1),
+    ("learning_rate", math.nan), ("learning_rate", 0.0), ("learning_rate", math.inf),
+    ("adam_eps", -1e-8), ("adam_eps", math.nan),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", math.nan),
 ])
 def test_config_rejects_sizes_below_one(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+    message = f"{field} must be {_CONFIG_RANGES[field]}, got {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         LstmConfig(**{field: value})
+
+
+def test_config_accepts_range_edges():
+    LstmConfig(beta1=0.0, beta2=0.0, learning_rate=5e-324, adam_eps=5e-324)
