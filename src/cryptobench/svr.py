@@ -14,6 +14,7 @@ holds throughout.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -60,6 +61,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        if not math.isfinite(self.coef0):
+            raise ValueError(f"coef0 must be finite, got {self.coef0}")
         if self.kind in ("rbf", "sigmoid") and not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive for {self.kind}, got {self.gamma}")
 
@@ -73,10 +78,10 @@ class SvrConfig:
     max_iter: int | None = None  # defaults to 100 * n_samples at fit time
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError(f"C must be positive, got {self.c}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"C must be finite and positive, got {self.c}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
@@ -166,7 +171,8 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
     [-C, C].
 
     Each iteration is O(n) vector work.  The selection scores are
-    ``g + a_up`` and ``g + a_down`` with ``g = F - y``; the offsets hold
+    ``g + a_up`` and ``g + a_down`` with ``g = F - y``, both rows formed
+    by one broadcast add of ``g`` to the (2, n) offsets; the offsets hold
     the L1 sign term (+-eps) and mask entries at their box bound with
     +-inf, so only the two moved entries change per step.  The first
     occurrence that ``argmin``/``argmax`` return is the strict-comparison
@@ -180,33 +186,28 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
     lower = -c_bound + bound_margin
     inf = float("inf")
 
-    def up_offset(b):
-        if not b < upper:
-            return inf
-        return eps if b >= -zero_margin else -eps
-
-    def down_offset(b):
-        if not b > lower:
-            return -inf
-        return eps if b > zero_margin else -eps
-
+    # offsets[0] is a_up, offsets[1] is a_down, at beta = 0 (on the kink)
+    offsets = np.empty((2, n))
+    offsets[0] = eps if upper > 0.0 else inf
+    offsets[1] = -eps if lower < 0.0 else -inf
+    a_up, a_down = offsets
+    # the smooth pieces of the pair subproblem: signs of beta_i and beta_j
+    # and the L1 term's shift of the vertex
+    pieces = [(s1, s2, eps * (s1 - s2)) for s1 in (-1.0, 1.0) for s2 in (-1.0, 1.0)]
     beta = [0.0] * n
-    a_up = np.full(n, up_offset(0.0))
-    a_down = np.full(n, down_offset(0.0))
-    Kt = np.ascontiguousarray(K.T)  # Kt[i] is column i of K
     diag = K.diagonal().tolist()
+    Kt_rows = list(np.ascontiguousarray(K.T))  # Kt_rows[i] is column i of K
     F = np.zeros(n)  # K @ beta, maintained incrementally
     g = np.empty(n)
-    up = np.empty(n)
-    down = np.empty(n)
+    scores = np.empty((2, n))
+    up, down = scores
     step = np.empty(n)
     it = 0
     while True:
         # first-order working-set selection: the steepest feasible
         # increase candidate and decrease candidate
         np.subtract(F, y, out=g)
-        np.add(g, a_up, out=up)
-        np.add(g, a_down, out=down)
+        np.add(g, offsets, out=scores)
         i = int(up.argmin())
         j = int(down.argmax())
         min_up = up.item(i)
@@ -222,8 +223,14 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
         # quadratic in delta with kinks where beta_i or beta_j crosses 0
         eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
         g0 = g.item(i) - g.item(j)
-        lo = max(-c_bound - bi, bj - c_bound)
-        hi = min(c_bound - bi, bj + c_bound)
+        lo = -c_bound - bi
+        lo2 = bj - c_bound
+        if lo2 > lo:
+            lo = lo2
+        hi = c_bound - bi
+        hi2 = bj + c_bound
+        if hi2 < hi:
+            hi = hi2
 
         cands = [lo, hi]
         for brk in (-bi, bj):
@@ -231,21 +238,23 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
                 cands.append(brk)
         # interior vertex of each smooth piece (eta > 0 makes pieces convex)
         if eta > 1e-300:
-            for s1 in (-1.0, 1.0):
-                for s2 in (-1.0, 1.0):
-                    d = -(g0 + eps * (s1 - s2)) / eta
-                    if lo <= d <= hi:
-                        # keep only vertices lying on their own piece
-                        sign_i = 1.0 if bi + d >= 0.0 else -1.0
-                        sign_j = 1.0 if bj - d > 0.0 else -1.0
-                        if sign_i == s1 and sign_j == s2 and len(cands) < 7:
-                            cands.append(d)
+            for s1, s2, shift in pieces:
+                d = -(g0 + shift) / eta
+                if lo <= d <= hi:
+                    # keep only vertices lying on their own piece
+                    sign_i = 1.0 if bi + d >= 0.0 else -1.0
+                    sign_j = 1.0 if bj - d > 0.0 else -1.0
+                    if sign_i == s1 and sign_j == s2 and len(cands) < 7:
+                        cands.append(d)
 
         best_delta = 0.0
         best_change = 0.0
+        half_eta = 0.5 * eta
+        abs_bi = abs(bi)
+        abs_bj = abs(bj)
         for d in cands:
-            change = (d * g0 + 0.5 * eta * d * d
-                      + eps * (abs(bi + d) - abs(bi) + abs(bj - d) - abs(bj)))
+            change = (d * g0 + half_eta * d * d
+                      + eps * (abs(bi + d) - abs_bi + abs(bj - d) - abs_bj))
             if change < best_change:
                 best_change = change
                 best_delta = d
@@ -254,11 +263,13 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
             return np.array(beta), it, violation, False
         beta[i] = bi = bi + best_delta
         beta[j] = bj = bj - best_delta
-        a_up[i] = up_offset(bi)
-        a_down[i] = down_offset(bi)
-        a_up[j] = up_offset(bj)
-        a_down[j] = down_offset(bj)
-        np.subtract(Kt[i], Kt[j], out=step)
+        # up: +inf at the upper bound, else the sign term of a step up;
+        # down: -inf at the lower bound, else that of a step down
+        a_up[i] = (eps if bi >= -zero_margin else -eps) if bi < upper else inf
+        a_down[i] = (eps if bi > zero_margin else -eps) if bi > lower else -inf
+        a_up[j] = (eps if bj >= -zero_margin else -eps) if bj < upper else inf
+        a_down[j] = (eps if bj > zero_margin else -eps) if bj > lower else -inf
+        np.subtract(Kt_rows[i], Kt_rows[j], out=step)
         np.multiply(step, best_delta, out=step)
         F += step
         it += 1
@@ -363,6 +374,24 @@ def _fold_bounds(n: int, k: int) -> list[tuple[int, int]]:
     return bounds
 
 
+# The grid's task table in a forked worker, set by ``_inherit_tasks`` when
+# the worker starts; the calling process never sets it.
+_worker_tasks: list = []
+
+# Tasks per worker round trip: a few, so that the pipe carries fewer
+# messages, while the costly first tasks still spread over the workers.
+_CHUNKSIZE = 2
+
+
+def _inherit_tasks(tasks) -> None:
+    global _worker_tasks
+    _worker_tasks = tasks
+
+
+def _fold_fit_at(index: int) -> tuple[float, bool, int]:
+    return _fold_fit(_worker_tasks[index])
+
+
 def _fold_fit(task) -> tuple[float, bool, int]:
     """Fit one distinct config on all folds but one and score the held-out
     fold: (fold MSE, converged, SMO iterations)."""
@@ -402,9 +431,15 @@ def grid_search(
 
     The tasks share nothing, so they run on one forked worker process
     per usable CPU (``os.sched_getaffinity``, capped at the task count),
-    or in this process when only one CPU is usable.  There is no knob:
-    the results are reassembled in fold order and averaged exactly as a
-    serial loop would, so the grid is bit-identical either way.  An
+    or in this process when only one CPU is usable.  The workers inherit
+    the task table through the fork (the pool's initializer arguments are
+    not pickled), so each task sent is an index, in chunks of
+    ``_CHUNKSIZE``.  SMO iterations grow with C, so the indices go out
+    by C descending, grid order within a C: the iteration-capped fits
+    start first instead of leaving one worker busy at the end.  There
+    is no knob: the results are put back in grid order and averaged
+    exactly as a serial loop would, so the grid is bit-identical either
+    way.  An
     exception raised in a worker reaches the caller unchanged; a worker
     that dies raises ``ChildProcessError``.  Python >= 3.12 warns when
     it forks a process whose BLAS threads are alive.  Code that wraps
@@ -451,10 +486,16 @@ def grid_search(
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
+        # SMO iterations grow with C, so the costliest tasks go first
+        order = sorted(range(len(tasks)), key=lambda index: -tasks[index][3].c)
+        results = [None] * len(tasks)
         try:
             with ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                results = list(pool.map(_fold_fit, tasks))
+                    workers, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_inherit_tasks, initargs=(tasks,)) as pool:
+                done = pool.map(_fold_fit_at, order, chunksize=_CHUNKSIZE)
+                for index, result in zip(order, done):
+                    results[index] = result
         except BrokenProcessPool as exc:
             raise ChildProcessError(f"an SVR grid worker died: {exc}") from exc
     else:

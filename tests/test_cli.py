@@ -56,6 +56,15 @@ BAD_LSTM_SETTINGS = [
     ("beta2 = inf", "beta2 must be in [0, 1), got inf"),
 ]
 
+# an [svr] setting that is not finite and the error that ``run svr`` reports
+BAD_SVR_SETTINGS = [
+    ("epsilon = nan", "epsilon must be finite and non-negative, got nan"),
+    ("epsilon = inf", "epsilon must be finite and non-negative, got inf"),
+    ("gammas = inf", "gamma must be finite, got inf"),
+    ("coef0 = nan", "coef0 must be finite, got nan"),
+    ("cs = inf", "C must be finite and positive, got inf"),
+]
+
 
 @pytest.fixture(scope="session")
 def small_ini(tmp_path_factory):
@@ -297,6 +306,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"run lstm failed: {message}"]
         assert not list(out.glob("lstm_*"))
+
+    @pytest.mark.parametrize("setting, message", BAD_SVR_SETTINGS,
+                             ids=[setting for setting, _ in BAD_SVR_SETTINGS])
+    def test_svr_non_finite_setting_exits_3(self, tmp_path, setting, message, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[svr]\n{setting}\n")
+        out = tmp_path / "out"
+        base = ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(out)]
+        assert main(["prepare", *base]) == 0
+        capsys.readouterr()
+        assert main(["run", "svr", *base]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"run svr failed: {message}"]
+        assert not list(out.glob("svr_*"))
 
     def _failing_lstm_scorer(self, tmp_path, small_ini, capsys, monkeypatch, fail):
         """``run lstm`` with a forked scorer whose ``predict_batch`` calls

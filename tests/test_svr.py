@@ -82,6 +82,12 @@ class TestKernelEval:
             KernelSpec("poly")
         with pytest.raises(ValueError):
             KernelSpec("rbf", gamma=0.0)
+        for kind in ("linear", "rbf", "sigmoid"):
+            for value in (np.inf, -np.inf, np.nan):
+                with pytest.raises(ValueError, match=f"gamma must be finite, got {value}"):
+                    KernelSpec(kind, gamma=value)
+                with pytest.raises(ValueError, match=f"coef0 must be finite, got {value}"):
+                    KernelSpec(kind, coef0=value)
 
     def test_gram_matches_pointwise_eval(self):
         rng = np.random.default_rng(0)
@@ -168,6 +174,17 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.array([[1.0]]), np.array([2.0]), SvrConfig(kernel=KernelSpec("linear")))
 
+    def test_invalid_config(self):
+        spec = KernelSpec("linear")
+        for c in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"C must be finite and positive, got {c}"):
+                SvrConfig(kernel=spec, c=c)
+        for epsilon in (-0.1, np.inf, np.nan):
+            with pytest.raises(ValueError,
+                               match=f"epsilon must be finite and non-negative, got {epsilon}"):
+                SvrConfig(kernel=spec, epsilon=epsilon)
+        assert SvrConfig(kernel=spec, epsilon=0.0).epsilon == 0.0
+
 
 def time_feature_series(n, seed):
     """Min-max scaled random walk against t in [0, 1], like the sample run."""
@@ -212,6 +229,27 @@ class TestSmoMatchesScalarReference:
             n_iter, converged = self._assert_identical(
                 X, y, spec, c=100.0, epsilon=0.0, tol=1e-12, max_iter=max_iter)
             assert n_iter == max_iter and not converged
+
+    def test_seeded_sweep(self):
+        # random sizes, kernels and C; every fourth instance repeats rows,
+        # and small caps stop some solves short of tol
+        rng = np.random.default_rng(12)
+        outcomes = set()
+        for case in range(40):
+            n = int(rng.integers(5, 41))
+            kind = ("linear", "rbf", "sigmoid")[case % 3]
+            X = rng.normal(size=(n, int(rng.integers(1, 4))))
+            y = rng.normal(size=n)
+            if case % 4 == 0:
+                X = np.concatenate([X, X[: n // 2]])
+                y = np.concatenate([y, y[: n // 2]])
+            spec = KernelSpec(kind, gamma=float(rng.choice([0.1, 1.0])))
+            c = float(10.0 ** rng.integers(0, 4))
+            epsilon = float(rng.choice([0.0, 0.05, 0.1]))
+            max_iter = 100 * len(y) if case % 2 else int(rng.integers(5, 60))
+            outcomes.add(self._assert_identical(X, y, spec, c, epsilon=epsilon,
+                                                max_iter=max_iter)[1])
+        assert outcomes == {True, False}
 
     def test_duplicated_rows_force_ties(self):
         X, y = time_feature_series(15, seed=4)
@@ -351,13 +389,15 @@ class TestGridSearch:
         assert kinds.count("linear") == 4 * 5
         assert grid.fits == 36 * 5
 
-    def test_one_cpu_grid_equals_pooled_grid(self, monkeypatch):
-        # n = 40 time feature: capped folds are part of the comparison
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_one_cpu_grid_equals_pooled_grid(self, monkeypatch, cpus):
+        # n = 40 time feature: capped folds are part of the comparison; an
+        # odd worker count splits the chunked, reordered tasks unevenly
         X, y = time_feature_series(40, seed=0)
         kinds = ("rbf", "sigmoid", "linear")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             pooled = grid_search(X, y, kinds, self.GAMMAS, self.CS, k=5)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
             serial = grid_search(X, y, kinds, self.GAMMAS, self.CS, k=5)
