@@ -2,7 +2,11 @@
 
 The config file is flat ``key = value`` INI with one section per
 pipeline stage ([dataset], [lstm], [svr], [polyreg], [run]); CLI flags
-override file values, which override the defaults below.  The config
+override file values, which override the defaults below.  Every key
+is a RunConfig field: ``lstm_*``, ``svr_*`` and ``poly_*`` fields are
+[lstm], [svr] and [polyreg] keys without their prefix, ``seed`` is a
+[run] key, and the other fields but the CLI-only paths are [dataset]
+keys.  A value parses as the type of its field's default.  The config
 hash fingerprints every semantic field (paths excluded) and is embedded
 in each output artifact so reruns are attributable.
 """
@@ -12,7 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import Field, asdict, dataclass, fields, replace
 from pathlib import Path
 
 __all__ = ["RunConfig", "load_config", "config_hash", "ConfigError"]
@@ -73,56 +77,29 @@ class RunConfig:
                 raise ConfigError(f"{label} must not be empty")
 
 
-_SECTIONS = {
-    "dataset": {
-        "target_column": str,
-        "train_fraction": float,
-        "window": int,
-    },
-    "lstm": {
-        "hidden_size": ("lstm_hidden_size", int),
-        "epochs": ("lstm_epochs", "int_list"),
-        "learning_rate": ("lstm_learning_rate", float),
-        "beta1": ("lstm_beta1", float),
-        "beta2": ("lstm_beta2", float),
-        "adam_eps": ("lstm_adam_eps", float),
-        "batch_size": ("lstm_batch_size", int),
-    },
-    "svr": {
-        "kernels": ("svr_kernels", "str_list"),
-        "gammas": ("svr_gammas", "float_list"),
-        "cs": ("svr_cs", "float_list"),
-        "epsilon": ("svr_epsilon", float),
-        "tol": ("svr_tol", float),
-        "cv_folds": ("svr_cv_folds", int),
-        "coef0": ("svr_coef0", float),
-        "features": ("svr_features", str),
-    },
-    "polyreg": {
-        "degrees": ("poly_degrees", "int_list"),
-    },
-    "run": {
-        "seed": int,
-    },
-}
+_CLI_ONLY = ("input_path", "out_dir")
+_PREFIXES = {"lstm": "lstm", "svr": "svr", "poly": "polyreg"}
 
 
-def _convert(raw: str, kind):
-    raw = raw.strip()
-    if kind is str:
-        return raw
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if kind == "int_list":
-        return tuple(int(p) for p in parts)
-    if kind == "float_list":
-        return tuple(float(p) for p in parts)
-    if kind == "str_list":
-        return tuple(parts)
-    raise AssertionError(kind)
+def _schema() -> dict[str, dict[str, Field]]:
+    schema: dict[str, dict[str, Field]] = {}
+    for f in fields(RunConfig):
+        prefix, _, key = f.name.partition("_")
+        if prefix in _PREFIXES:
+            schema.setdefault(_PREFIXES[prefix], {})[key] = f
+        elif f.name not in _CLI_ONLY:
+            schema.setdefault("run" if f.name == "seed" else "dataset", {})[f.name] = f
+    return schema
+
+
+_SCHEMA = _schema()
+
+
+def _parse(raw: str, default):
+    """``raw`` as ``default``'s type; a tuple takes a comma-separated list."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(p.strip()) for p in raw.split(",") if p.strip())
+    return type(default)(raw.strip())
 
 
 def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
@@ -138,21 +115,19 @@ def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [DEFAULT]")
     overrides = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        known = _SECTIONS[section]
+        known = _SCHEMA[section]
         for key, raw in parser.items(section):
             if key not in known:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            spec = known[key]
-            if isinstance(spec, tuple):
-                field, kind = spec
-            else:
-                field, kind = key, spec
+            field = known[key]
             try:
-                overrides[field] = _convert(raw, kind)
+                overrides[field.name] = _parse(raw, field.default)
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: {raw!r}") from exc
     return replace(base, **overrides)
@@ -161,7 +136,7 @@ def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
 def config_hash(cfg: RunConfig) -> str:
     """12-hex-digit digest of every semantic field (paths excluded)."""
     payload = asdict(cfg)
-    payload.pop("input_path")
-    payload.pop("out_dir")
+    for name in _CLI_ONLY:
+        payload.pop(name)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]

@@ -262,6 +262,15 @@ def _parse_number(cell: str) -> float | None:
     return value
 
 
+def _rows(reader):
+    """The reader's rows; a line the csv module rejects (say, a field over
+    its size limit) raises InvalidRecordError instead of ``csv.Error``."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InvalidRecordError(f"row {reader.line_num}: {exc}") from exc
+
+
 def parse_csv(source: str | Iterable[str]) -> PriceSeries:
     """Parse OHLCV CSV text (a string or an iterable of lines).
 
@@ -278,7 +287,7 @@ def parse_csv(source: str | Iterable[str]) -> PriceSeries:
     date_format: str | None = None
     records: list[OhlcvRecord] = []
 
-    for row in reader:
+    for row in _rows(reader):
         line_no += 1
         if not row or all(not c.strip() for c in row):
             continue

@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import WindowedDataset
+from .evaluation import mse
 
 __all__ = [
     "LstmParams",
@@ -515,12 +516,10 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
     history: list[TrainRecord] = []
 
     def record(epoch, params, preds):
-        diff = preds - eval_targets
-        sq = diff * diff
         history.append(TrainRecord(
             epoch=epoch,
-            train_mse=float(np.mean(sq[:n])),
-            test_mse=float(np.mean(sq[n:])),
+            train_mse=mse(eval_targets[:n], preds[:n]),
+            test_mse=mse(eval_targets[n:], preds[n:]),
         ))
         if epoch in wanted:
             # adam_step returns fresh parameters, so these stay as they are

@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .evaluation import mse
+
 __all__ = [
     "PolyModel",
     "DegreeSweep",
@@ -131,7 +133,6 @@ def degree_sweep(
     rows: list[tuple[int, float]] = []
     for degree in degrees:
         model = fit(train_x, train_y, int(degree))
-        resid = predict(model, test_x) - np.asarray(test_y, dtype=np.float64)
-        rows.append((int(degree), float(np.mean(resid * resid))))
+        rows.append((int(degree), mse(test_y, predict(model, test_x))))
     best = min(range(len(rows)), key=lambda k: (rows[k][1], rows[k][0]))
     return DegreeSweep(rows=rows, best_index=best)

@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .evaluation import mse
+
 __all__ = [
     "KernelSpec",
     "SvrConfig",
@@ -82,8 +84,8 @@ class SvrConfig:
             raise ValueError(f"C must be finite and positive, got {self.c}")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass
@@ -401,8 +403,8 @@ def _fold_fit(task) -> tuple[float, bool, int]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         model = fit(X[mask], y[mask], cfg)
-    resid = predict_batch(model, X[start:stop]) - y[start:stop]
-    return float(np.mean(resid * resid)), model.converged, model.n_iter
+    fold_mse = mse(y[start:stop], predict_batch(model, X[start:stop]))
+    return fold_mse, model.converged, model.n_iter
 
 
 def grid_search(
@@ -504,7 +506,7 @@ def grid_search(
     scores: dict[tuple, tuple[float, int, int]] = {}
     for index, key in enumerate(fits):
         folds = results[index * k:(index + 1) * k]
-        scores[key] = (float(np.mean([mse for mse, _, _ in folds])),
+        scores[key] = (float(np.mean([fold_mse for fold_mse, _, _ in folds])),
                        sum(converged for _, converged, _ in folds),
                        max(n_iter for _, _, n_iter in folds))
     cells = [GridCell(kind, gamma, c, *scores[key]) for kind, gamma, c, key in cell_keys]

@@ -63,6 +63,7 @@ BAD_SVR_SETTINGS = [
     ("gammas = inf", "gamma must be finite, got inf"),
     ("coef0 = nan", "coef0 must be finite, got nan"),
     ("cs = inf", "C must be finite and positive, got inf"),
+    ("tol = inf", "tol must be finite and positive, got inf"),
 ]
 
 
@@ -166,6 +167,16 @@ class TestPrepare:
         assert main(["prepare", "--input", str(bad), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("prepare failed:") and "0xff at offset 100" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_oversized_field_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(Path(SAMPLE).read_text() + "x" * 131_073 + "\n")
+        out = tmp_path / "out"
+        assert main(["prepare", "--input", str(bad), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("prepare failed:") and "field larger than field limit" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from cryptobench.config import ConfigError, RunConfig, config_hash, load_config
@@ -31,34 +33,61 @@ class TestLoadConfig:
         path = tmp_path / "run.ini"
         path.write_text(
             "[dataset]\n"
+            "target_column = adj_close\n"
             "window = 12\n"
             "train_fraction = 0.75\n"
             "[lstm]\n"
             "hidden_size = 9\n"
             "epochs = 5, 10\n"
+            "learning_rate = 0.01\n"
+            "beta1 = 0.8\n"
+            "beta2 = 0.99\n"
+            "adam_eps = 1e-7\n"
+            "batch_size = 16\n"
             "[svr]\n"
-            "kernels = linear\n"
+            "kernels = linear, rbf\n"
             "gammas = 0.5\n"
-            "cs = 2.0, 4.0\n"
+            "cs = 2.0, 4\n"
+            "epsilon = 0.05\n"
+            "tol = 1e-4\n"
+            "cv_folds = 3\n"
+            "coef0 = 0.5\n"
+            "features = window\n"
             "[polyreg]\n"
             "degrees = 3\n"
             "[run]\n"
             "seed = 7\n"
         )
         cfg = load_config(path)
-        assert cfg.window == 12
-        assert cfg.train_fraction == 0.75
-        assert cfg.lstm_hidden_size == 9
-        assert cfg.lstm_epochs == (5, 10)
-        assert cfg.svr_kernels == ("linear",)
-        assert cfg.svr_cs == (2.0, 4.0)
-        assert cfg.poly_degrees == (3,)
-        assert cfg.seed == 7
+        expected = dict(
+            target_column="adj_close", window=12, train_fraction=0.75,
+            lstm_hidden_size=9, lstm_epochs=(5, 10), lstm_learning_rate=0.01,
+            lstm_beta1=0.8, lstm_beta2=0.99, lstm_adam_eps=1e-7, lstm_batch_size=16,
+            svr_kernels=("linear", "rbf"), svr_gammas=(0.5,), svr_cs=(2.0, 4.0),
+            svr_epsilon=0.05, svr_tol=1e-4, svr_cv_folds=3, svr_coef0=0.5,
+            svr_features="window", poly_degrees=(3,), seed=7,
+        )
+        assert len(expected) == 20
+        assert set(expected) == {f.name for f in fields(RunConfig)} - {"input_path", "out_dir"}
+        for name, value in expected.items():
+            got = getattr(cfg, name)
+            assert got != getattr(RunConfig(), name), name
+            assert got == value and type(got) is type(value), name
+            if isinstance(value, tuple):
+                assert [type(v) for v in got] == [type(v) for v in value], name
 
     def test_unknown_section(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[models]\nfoo = 1\n")
         with pytest.raises(ConfigError, match="unknown section"):
+            load_config(path)
+
+    @pytest.mark.parametrize("sections", ["", "[dataset]\n", "[lstm]\n"],
+                             ids=["alone", "dataset", "lstm"])
+    def test_default_section_is_rejected(self, tmp_path, sections):
+        path = tmp_path / "run.ini"
+        path.write_text("[DEFAULT]\nwindow = 5\n" + sections)
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
             load_config(path)
 
     def test_unknown_key(self, tmp_path):

@@ -111,6 +111,11 @@ class TestParseCsv:
         with pytest.raises(InvalidRecordError, match="row 2"):
             dataset.parse_csv(text)
 
+    def test_field_over_csv_limit_is_hard_error(self):
+        text = HEADER + "10/01/2020,9,10,8,9,9,100\n" + "x" * 131_073 + "\n"
+        with pytest.raises(InvalidRecordError, match="row 3: field larger than field limit"):
+            dataset.parse_csv(text)
+
     def test_negative_price_is_hard_error(self):
         text = HEADER + "10/01/2020,-9,10,8,9,9,100\n"
         with pytest.raises(InvalidRecordError):

@@ -184,6 +184,9 @@ class TestFit:
                                match=f"epsilon must be finite and non-negative, got {epsilon}"):
                 SvrConfig(kernel=spec, epsilon=epsilon)
         assert SvrConfig(kernel=spec, epsilon=0.0).epsilon == 0.0
+        for tol in (0.0, -1e-3, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"tol must be finite and positive, got {tol}"):
+                SvrConfig(kernel=spec, tol=tol)
 
 
 def time_feature_series(n, seed):
