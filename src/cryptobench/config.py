@@ -75,6 +75,10 @@ class RunConfig:
                            ("poly_degrees", self.poly_degrees)):
             if len(seq) == 0:
                 raise ConfigError(f"{label} must not be empty")
+            # a repeat would fit and write the same grid point twice
+            for i, value in enumerate(seq):
+                if value in seq[:i]:
+                    raise ConfigError(f"{label} repeats {value!r}")
 
 
 _CLI_ONLY = ("input_path", "out_dir")

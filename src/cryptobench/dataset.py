@@ -238,15 +238,21 @@ def _parse_header(row: Sequence[str]) -> dict[str, int]:
     return mapping
 
 
-_DATE_FORMATS = {"dmy": "%d/%m/%Y", "iso": "%Y-%m-%d"}
-
-
 def _detect_date_format(text: str) -> str | None:
     if len(text) == 10 and text[2] == "/" and text[5] == "/":
         return "dmy"
     if len(text) == 10 and text[4] == "-" and text[7] == "-":
         return "iso"
     return None
+
+
+def _parse_date(text: str, date_format: str) -> dt.date:
+    """The date of a string ``_detect_date_format`` classed as
+    ``date_format``; its other eight characters must be ASCII digits.
+    Raises ValueError for any other character or an impossible date."""
+    if date_format == "dmy":
+        text = f"{text[6:]}-{text[3:5]}-{text[:2]}"
+    return dt.date.fromisoformat(text)
 
 
 def _parse_number(cell: str) -> float | None:
@@ -263,12 +269,16 @@ def _parse_number(cell: str) -> float | None:
 
 
 def _rows(reader):
-    """The reader's rows; a line the csv module rejects (say, a field over
-    its size limit) raises InvalidRecordError instead of ``csv.Error``."""
+    """The reader's records, numbered from 1, blank ones included; a
+    record the csv module rejects (say, a field over its size limit)
+    raises InvalidRecordError naming its number instead of ``csv.Error``.
+    A quoted field may span lines, so a number can be below the line's."""
+    row_no = 0
     try:
-        yield from reader
+        for row_no, row in enumerate(reader, 1):
+            yield row_no, row
     except csv.Error as exc:
-        raise InvalidRecordError(f"row {reader.line_num}: {exc}") from exc
+        raise InvalidRecordError(f"row {row_no + 1}: {exc}") from exc
 
 
 def parse_csv(source: str | Iterable[str]) -> PriceSeries:
@@ -283,12 +293,10 @@ def parse_csv(source: str | Iterable[str]) -> PriceSeries:
     reader = csv.reader(source)
 
     header_map = None
-    line_no = 0
     date_format: str | None = None
     records: list[OhlcvRecord] = []
 
-    for row in _rows(reader):
-        line_no += 1
+    for row_no, row in _rows(reader):
         if not row or all(not c.strip() for c in row):
             continue
         if header_map is None:
@@ -299,23 +307,23 @@ def parse_csv(source: str | Iterable[str]) -> PriceSeries:
 
         if len(row) != len(COLUMNS):
             raise InvalidRecordError(
-                f"row {line_no}: expected {len(COLUMNS)} fields, got {len(row)}"
+                f"row {row_no}: expected {len(COLUMNS)} fields, got {len(row)}"
             )
 
         raw_date = row[header_map["date"]].strip()
         fmt = _detect_date_format(raw_date)
         if fmt is None:
-            raise UnparseableDateError(f"row {line_no}: cannot parse date {raw_date!r}")
+            raise UnparseableDateError(f"row {row_no}: cannot parse date {raw_date!r}")
         if date_format is None:
             date_format = fmt
         elif fmt != date_format:
             raise UnparseableDateError(
-                f"row {line_no}: date {raw_date!r} mixes formats within one file"
+                f"row {row_no}: date {raw_date!r} mixes formats within one file"
             )
         try:
-            date = dt.datetime.strptime(raw_date, _DATE_FORMATS[fmt]).date()
+            date = _parse_date(raw_date, fmt)
         except ValueError as exc:
-            raise UnparseableDateError(f"row {line_no}: {exc}") from exc
+            raise UnparseableDateError(f"row {row_no}: cannot parse date {raw_date!r}") from exc
 
         try:
             record = OhlcvRecord(
@@ -328,7 +336,7 @@ def parse_csv(source: str | Iterable[str]) -> PriceSeries:
                 volume=_parse_number(row[header_map["volume"]]),
             )
         except InvalidRecordError as exc:
-            raise InvalidRecordError(f"row {line_no}: {exc}") from exc
+            raise InvalidRecordError(f"row {row_no}: {exc}") from exc
         records.append(record)
 
     if header_map is None:

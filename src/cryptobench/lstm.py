@@ -428,19 +428,21 @@ def predict_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def _serve_scores(conn, parent_end, inputs, hidden_size):
-    """The scorer process: for each parameter vector received, send back
-    ``predict_batch`` of ``inputs``, until the parent closes its end."""
+    """The scorer process: for each request received, a start index
+    ahead of a parameter vector, send back ``predict_batch`` of
+    ``inputs[start:]``, until the parent closes its end."""
     parent_end.close()  # the inherited copy would keep the pipe open
     with contextlib.suppress(EOFError, ConnectionError):
         while True:
-            vec = np.frombuffer(conn.recv_bytes())
-            conn.send_bytes(predict_batch(LstmParams(vec, 1, hidden_size), inputs))
+            request = np.frombuffer(conn.recv_bytes())
+            params = LstmParams(request[1:], 1, hidden_size)
+            conn.send_bytes(predict_batch(params, inputs[int(request[0]):]))
 
 
 class _ForkedScorer:
-    """``predict_batch`` of fixed windows in one forked process, which
-    inherits the windows; the caller collects each result before it
-    sends the next vector."""
+    """``predict_batch`` of fixed windows, from a given one on, in one
+    forked process, which inherits the windows; the caller collects
+    each result before it sends the next request."""
 
     def __init__(self, inputs, hidden_size):
         # imported here, so that importing the package does not load it
@@ -456,9 +458,10 @@ class _ForkedScorer:
         self._proc.start()
         child_end.close()
 
-    def send(self, vec: np.ndarray):
+    def send(self, start: int, vec: np.ndarray):
+        """Ask for the predictions of the windows from ``start`` on."""
         try:
-            self._conn.send_bytes(vec)
+            self._conn.send_bytes(np.concatenate(([start], vec)))
         except OSError:
             self._died()
 
@@ -484,15 +487,20 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
     """Train ``epochs`` epochs, scoring the train and test windows after
     each; returns the final parameters, the history and the snapshots.
 
-    Scoring is one ``predict_batch`` call over the train and test
-    windows together, split at the train count.  No later epoch reads
-    it, so with more than one usable CPU (``os.sched_getaffinity``) and
-    more than one epoch, a forked scorer process scores each epoch but
-    the last while this process trains the next one; this process
-    collects epoch e's predictions before it sends epoch e + 1, and
-    scores the last epoch itself.  On one CPU it scores every epoch
-    itself.  The predictions, and so the history, are the same bit for
-    bit either way.
+    Scoring is ``predict_batch`` over the train and test windows
+    together, split at the train count.  No later epoch reads it, so
+    with more than one usable CPU (``os.sched_getaffinity``) and more
+    than one epoch, a forked scorer process scores each epoch but the
+    last while this process trains the next one; this process collects
+    epoch e's predictions before it sends epoch e + 1.  The last epoch
+    has nothing to overlap with, so when its windows span more than one
+    ``_PREDICT_CHUNK``, this process scores the first half of the chunks
+    and the scorer the rest, and the two halves are joined; otherwise
+    this process scores it whole.  On one CPU it scores every epoch
+    itself.  ``predict_batch`` cuts chunks at multiples of
+    ``_PREDICT_CHUNK`` from its first window, and the split is one of
+    them, so every window is scored in the same chunk either way and
+    the predictions, and so the history, are the same bit for bit.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -510,6 +518,8 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
     n = len(data)
     eval_inputs = np.concatenate((data.inputs, test.inputs))
     eval_targets = np.concatenate((ys_all, test.targets))
+    # where the last epoch splits: after half its chunks, 0 for one chunk
+    split = math.ceil(len(eval_inputs) / _PREDICT_CHUNK) // 2 * _PREDICT_CHUNK
 
     wanted = set(int(e) for e in snapshot_epochs)
     snapshots: dict[int, Snapshot] = {}
@@ -538,8 +548,12 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
             if in_flight:
                 record(*in_flight, scorer.collect())
             if scorer and epoch < epochs:
-                scorer.send(params.vec)
+                scorer.send(0, params.vec)
                 in_flight = (epoch, params)
+            elif scorer and split:
+                scorer.send(split, params.vec)
+                head = predict_batch(params, eval_inputs[:split])
+                record(epoch, params, np.concatenate((head, scorer.collect())))
             else:
                 record(epoch, params, predict_batch(params, eval_inputs))
     finally:
@@ -581,10 +595,11 @@ def epoch_grid(
     runs end on; one pass with snapshots therefore reproduces the
     independent per-count runs bit for bit.  Each epoch is scored as
     ``_train_loop`` describes: with more than one usable CPU, all but
-    the last on a forked scorer process while the next epoch trains.
-    Code that wraps ``predict_batch`` in this process, such as
-    perfbench's ``lstm.*`` spans, then sees only the last epoch's
-    scoring.
+    the last on a forked scorer process while the next epoch trains,
+    and the last split between the two processes at a chunk boundary
+    when it spans more than one chunk.  Code that wraps
+    ``predict_batch`` in this process, such as perfbench's ``lstm.*``
+    spans, then sees only this process's share of the last epoch.
     """
     counts = [int(e) for e in epoch_counts]
     if not counts or any(e < 1 for e in counts):

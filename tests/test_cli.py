@@ -1,3 +1,4 @@
+import datetime
 import http.server
 import io
 import json
@@ -18,6 +19,7 @@ from cryptobench import cli, pipeline
 from cryptobench.cli import main
 from cryptobench.config import RunConfig, load_config
 from cryptobench.dataset import make_windows
+from cryptobench import evaluation
 from cryptobench import lstm as lstm_mod
 from cryptobench import polyreg
 from cryptobench import svr as svr_mod
@@ -96,6 +98,39 @@ def window_svr_run(tmp_path_factory):
     assert main(["prepare", *base]) == 0
     assert main(["run", "svr", *base]) == 0
     return out
+
+
+def walk_csv(path, rows, seed):
+    """Write a daily OHLCV file of a seeded geometric random walk; returns its path."""
+    rng = np.random.default_rng(seed)
+    close = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, rows)))
+    lines = ["Date,Open,High,Low,Close,Adj Close,Volume"]
+    for i, c in enumerate(close):
+        day = datetime.date(2020, 1, 1) + datetime.timedelta(days=i)
+        lines.append(f"{day},{c:.4f},{c * 1.01:.4f},{c * 0.99:.4f},{c:.4f},{c:.4f},1000")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+# 100 rows at window 8: 72 train and 20 test windows, so the last epoch's
+# 92 evaluation windows span two predict chunks and are split between the
+# trainer (the first 64) and its forked scorer (the last 28)
+WALK_ROWS, SPLIT_TAIL = 100, 28
+
+
+@pytest.fixture(scope="session")
+def long_lstm_run(tmp_path_factory, small_ini):
+    """``run lstm`` on a walk long enough for the split last epoch, with
+    two usable CPUs, so that a forked scorer scores."""
+    root = tmp_path_factory.mktemp("long_lstm")
+    out = str(root / "out")
+    base = ["--input", walk_csv(root / "walk.csv", WALK_ROWS, 4), "--config", small_ini,
+            "--out-dir", out]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["prepare", *base]) == 0
+        assert main(["run", "lstm", *base]) == 0
+    return out, base
 
 
 def _private_copy(full_run, tmp_path):
@@ -178,6 +213,15 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert err.startswith("prepare failed:") and "field larger than field limit" in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_repeated_grid_value_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "repeat.ini"
+        ini.write_text("[polyreg]\ndegrees = 3, 3, 2\n")
+        out = tmp_path / "out"
+        assert main(["prepare", "--input", SAMPLE, "--config", str(ini),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["prepare failed: poly_degrees repeats 3"]
         assert not out.exists()
 
     def test_default_input_is_bundled_sample(self, tmp_path):
@@ -332,19 +376,21 @@ class TestRun:
         assert err.splitlines() == [f"run svr failed: {message}"]
         assert not list(out.glob("svr_*"))
 
-    def _failing_lstm_scorer(self, tmp_path, small_ini, capsys, monkeypatch, fail):
-        """``run lstm`` with a forked scorer whose ``predict_batch`` calls
-        ``fail``; returns the exit code, the stderr lines and the
-        ``lstm_*`` files left."""
+    def _failing_lstm_scorer(self, tmp_path, small_ini, capsys, monkeypatch, fail,
+                             csv=SAMPLE, fails=lambda inputs: True):
+        """``run lstm`` on ``csv`` with a forked scorer whose
+        ``predict_batch`` calls ``fail`` on the windows ``fails`` picks;
+        returns the exit code, the stderr lines and the ``lstm_*`` files
+        left."""
         out = tmp_path / "out"
-        base = ["--input", SAMPLE, "--config", small_ini, "--out-dir", str(out)]
+        base = ["--input", csv, "--config", small_ini, "--out-dir", str(out)]
         assert main(["prepare", *base]) == 0
         capsys.readouterr()
         parent = os.getpid()
         real_predict = lstm_mod.predict_batch
 
         def predict_in_scorer(params, inputs):
-            if os.getpid() != parent:
+            if os.getpid() != parent and fails(inputs):
                 fail()
             return real_predict(params, inputs)
 
@@ -358,6 +404,20 @@ class TestRun:
     def test_lstm_scorer_failure_exits_3(self, tmp_path, small_ini, capsys, monkeypatch, fail):
         code, err, left = self._failing_lstm_scorer(tmp_path, small_ini, capsys,
                                                     monkeypatch, fail)
+        assert code == 3
+        assert err == ["run lstm failed: the LSTM scorer process exited with code 1"]
+        assert left == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fail", [lambda: os._exit(1), lambda: 1 / 0],
+                             ids=["death", "exception"])
+    def test_lstm_scorer_failure_on_the_split_exits_3(self, tmp_path, small_ini, capsys,
+                                                      monkeypatch, fail):
+        # the scorer serves epoch 1 whole, then dies on the last epoch's tail
+        code, err, left = self._failing_lstm_scorer(
+            tmp_path, small_ini, capsys, monkeypatch, fail,
+            csv=walk_csv(tmp_path / "walk.csv", WALK_ROWS, 4),
+            fails=lambda inputs: len(inputs) == SPLIT_TAIL)
         assert code == 3
         assert err == ["run lstm failed: the LSTM scorer process exited with code 1"]
         assert left == []
@@ -411,6 +471,22 @@ class TestCheckpointRoundTrips:
         result = json.loads((Path(out) / "lstm_result.json").read_text())
         stored = [p["predicted"] for p in result["predictions"]]
         np.testing.assert_array_equal(preds_raw, stored)
+
+    @pytest.mark.parametrize("run", ["full_run", "long_lstm_run"])
+    def test_lstm_checkpoint_reproduces_the_result_mse(self, run, request):
+        # the trainer scores the train and test windows in one pass, chunked
+        # from the first train window; scored the same way, the reloaded
+        # checkpoint gives the stored MSE to the last bit
+        out = Path(request.getfixturevalue(run)[0])
+        params, meta = pipeline.load_lstm_checkpoint(out / "lstm_model.json")
+        prepared = pipeline.load_prepared(out)
+        window = meta["window"]
+        train_ds = make_windows(prepared.train_values, window)
+        tail = np.concatenate([prepared.train_values[-window:], prepared.test_values])
+        inputs = np.concatenate([train_ds.inputs, make_windows(tail, window).inputs])
+        preds_norm = lstm_mod.predict_batch(params, inputs)[len(train_ds):]
+        result = json.loads((out / "lstm_result.json").read_text())
+        assert evaluation.mse(prepared.test_values, preds_norm) == result["mse_normalized"]
 
     def test_svr_model_reproduces_predictions(self, full_run):
         out, _ = full_run

@@ -23,6 +23,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(lstm_epochs=())
 
+    @pytest.mark.parametrize("name, values, repeated", [
+        ("lstm_epochs", (1, 2, 1), "1"),
+        ("svr_kernels", ("linear", "rbf", "linear"), "'linear'"),
+        ("svr_gammas", (0.1, 0.1), "0.1"),
+        ("svr_cs", (1.0, 10.0, 10.0), "10.0"),
+        ("poly_degrees", (3, 3, 2), "3"),
+    ])
+    def test_rejects_repeated_grid_values(self, name, values, repeated):
+        with pytest.raises(ConfigError, match=f"^{name} repeats {repeated}$"):
+            RunConfig(**{name: values})
+
     def test_rejects_unknown_feature_mode(self):
         with pytest.raises(ConfigError):
             RunConfig(svr_features="pca")
@@ -128,3 +139,6 @@ class TestConfigHash:
 
     def test_repeatable(self):
         assert config_hash(RunConfig()) == config_hash(RunConfig())
+
+    def test_default_hash_is_pinned(self):
+        assert config_hash(RunConfig()) == "d9d1f3895465"

@@ -96,6 +96,37 @@ class TestParseCsv:
         with pytest.raises(UnparseableDateError, match="row 3"):
             dataset.parse_csv(text)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("29/02/2020", dt.date(2020, 2, 29)),
+        ("2020-02-29", dt.date(2020, 2, 29)),
+        ("29/02/2021", None),
+        ("2021-02-29", None),
+        ("01/13/2020", None),
+        ("2020-13-01", None),
+        ("31/04/2020", None),
+        ("2020-04-31", None),
+        ("1o/01/2020", None),
+        ("2020-01-1o", None),
+        ("2O20-01-10", None),
+    ])
+    def test_date_table(self, text, expected):
+        csv_text = HEADER + f"{text},9,10,8,9,9,100\n"
+        if expected is None:
+            with pytest.raises(UnparseableDateError, match=f"^row 2: cannot parse date '{text}'$"):
+                dataset.parse_csv(csv_text)
+        else:
+            assert dataset.parse_csv(csv_text).dates == [expected]
+
+    @pytest.mark.parametrize("last, error", [
+        ("not-a-date,9,10,8,9,9,100", UnparseableDateError),
+        ("x" * 131_073, InvalidRecordError),
+    ], ids=["bad_date", "oversized_field"])
+    def test_one_row_number_after_a_multiline_field(self, last, error):
+        # the quoted volume spans two lines, so the last record is row 3 on line 4
+        text = HEADER + '10/01/2020,9,10,8,9,9,"1\n00"\n' + last + "\n"
+        with pytest.raises(error, match="^row 3: "):
+            dataset.parse_csv(text)
+
     def test_mixed_date_formats_rejected(self):
         text = HEADER + "10/01/2020,9,10,8,9,9,100\n2020-01-11,9,10,8,9,9,100\n"
         with pytest.raises(UnparseableDateError, match="mixes formats"):

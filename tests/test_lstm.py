@@ -375,7 +375,7 @@ class TestEpochGrid:
                 lstm.predict_batch(snapshots[epoch].params, test_ds.inputs), rtol=1e-12)
 
     def test_one_cpu_grid_equals_forked_scorer_grid(self, monkeypatch):
-        # 93 + 31 windows: the evaluation pass spans two predict chunks
+        # 93 + 36 windows: the evaluation pass spans three predict chunks
         series = np.sin(np.linspace(0, 9, 135)) * np.linspace(0.5, 1.0, 135)
         train_ds = make_windows(series[:99], 6)
         test_ds = make_windows(series[93:], 6)
@@ -385,7 +385,7 @@ class TestEpochGrid:
         real_predict = lstm.predict_batch
 
         def counting_predict(params, inputs):
-            calls.append(os.getpid() == parent)
+            calls.append((os.getpid() == parent, len(inputs)))
             return real_predict(params, inputs)
 
         monkeypatch.setattr(lstm, "predict_batch", counting_predict)
@@ -394,8 +394,9 @@ class TestEpochGrid:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             calls.clear()
             runs[len(cpus)] = epoch_grid(train_ds, test_ds, [4, 1, 3], seed=9, hyper=cfg)
-            # the parent scores every epoch on one CPU, only the last on two
-            assert calls == [True] * (4 if len(cpus) == 1 else 1)
+            # the parent scores every epoch on one CPU; on two, only the
+            # first chunk of the last, and the scorer the other 65 windows
+            assert calls == ([(True, 129)] * 4 if len(cpus) == 1 else [(True, 64)])
         assert multiprocessing.active_children() == []
 
         (rows_1, snaps_1, hist_1), (rows_2, snaps_2, hist_2) = runs[1], runs[2]
