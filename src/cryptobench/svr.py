@@ -173,14 +173,17 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
     [-C, C].
 
     Each iteration is O(n) vector work.  The selection scores are
-    ``g + a_up`` and ``g + a_down`` with ``g = F - y``, both rows formed
-    by one broadcast add of ``g`` to the (2, n) offsets; the offsets hold
+    ``g + a_up`` and ``g + a_down`` with ``g = F - y``; the offsets hold
     the L1 sign term (+-eps) and mask entries at their box bound with
-    +-inf, so only the two moved entries change per step.  The first
-    occurrence that ``argmin``/``argmax`` return is the strict-comparison
-    scan order, and the pair subproblem runs on Python floats, so the
-    iterates match the scalar reference in ``tests/oracles.py`` bit for
-    bit.
+    +-inf, so only the two moved entries change per step.  ``F`` moves by
+    ``delta * (K[:, i] - K[:, j])``.  SMO keeps revisiting a few working
+    pairs, so each fit keeps a dict from the ordered pair (i, j) to its
+    curvature ``eta`` and that Gram-column difference, computed once with
+    the same expressions; it holds at most n rows, one Gram's worth, and
+    is emptied when full.  The first occurrence that ``argmin``/``argmax``
+    return is the strict-comparison scan order, and the pair subproblem
+    runs on Python floats, so the iterates match the scalar reference in
+    ``tests/oracles.py`` bit for bit.
     """
     n = y.shape[0]
     bound_margin, zero_margin = _margins(c_bound)
@@ -188,11 +191,9 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
     lower = -c_bound + bound_margin
     inf = float("inf")
 
-    # offsets[0] is a_up, offsets[1] is a_down, at beta = 0 (on the kink)
-    offsets = np.empty((2, n))
-    offsets[0] = eps if upper > 0.0 else inf
-    offsets[1] = -eps if lower < 0.0 else -inf
-    a_up, a_down = offsets
+    # the selection offsets at beta = 0 (on the kink)
+    a_up = np.full(n, eps if upper > 0.0 else inf)
+    a_down = np.full(n, -eps if lower < 0.0 else -inf)
     # the smooth pieces of the pair subproblem: signs of beta_i and beta_j
     # and the L1 term's shift of the vertex
     pieces = [(s1, s2, eps * (s1 - s2)) for s1 in (-1.0, 1.0) for s2 in (-1.0, 1.0)]
@@ -201,30 +202,51 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
     Kt_rows = list(np.ascontiguousarray(K.T))  # Kt_rows[i] is column i of K
     F = np.zeros(n)  # K @ beta, maintained incrementally
     g = np.empty(n)
-    scores = np.empty((2, n))
-    up, down = scores
+    up = np.empty(n)
+    down = np.empty(n)
     step = np.empty(n)
+    # at small n the per-call overhead dominates: look the ufuncs and
+    # methods up once, pass out arrays positionally, and pass the step
+    # length as a 0-d array, which a ufunc takes faster than a float
+    delta = np.empty(())
+    subtract = np.subtract
+    add = np.add
+    multiply = np.multiply
+    up_argmin = up.argmin
+    down_argmax = down.argmax
+    up_item = up.item
+    down_item = down.item
+    g_item = g.item
+    # working pair i * n + j -> (eta, Kt_rows[i] - Kt_rows[j])
+    pairs = {}
     it = 0
     while True:
         # first-order working-set selection: the steepest feasible
         # increase candidate and decrease candidate
-        np.subtract(F, y, out=g)
-        np.add(g, offsets, out=scores)
-        i = int(up.argmin())
-        j = int(down.argmax())
-        min_up = up.item(i)
-        max_down = down.item(j)
+        subtract(F, y, g)
+        add(g, a_up, up)
+        add(g, a_down, down)
+        i = int(up_argmin())
+        j = int(down_argmax())
+        min_up = up_item(i)
+        max_down = down_item(j)
         violation = max_down - min_up
         if min_up == inf or max_down == -inf or i == j or violation <= tol:
             return np.array(beta), it, violation, True
         if it >= max_iter:
             return np.array(beta), it, violation, False
+        pair = pairs.get(i * n + j)
+        if pair is None:
+            if len(pairs) == n:
+                pairs.clear()
+            pair = pairs[i * n + j] = (diag[i] + diag[j] - 2.0 * K.item(i, j),
+                                       subtract(Kt_rows[i], Kt_rows[j]))
+        eta, diff = pair
         bi = beta[i]
         bj = beta[j]
         # move delta from j to i; J restricted to the move is piecewise
         # quadratic in delta with kinks where beta_i or beta_j crosses 0
-        eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
-        g0 = g.item(i) - g.item(j)
+        g0 = g_item(i) - g_item(j)
         lo = -c_bound - bi
         lo2 = bj - c_bound
         if lo2 > lo:
@@ -271,9 +293,9 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
         a_down[i] = (eps if bi > zero_margin else -eps) if bi > lower else -inf
         a_up[j] = (eps if bj >= -zero_margin else -eps) if bj < upper else inf
         a_down[j] = (eps if bj > zero_margin else -eps) if bj > lower else -inf
-        np.subtract(Kt_rows[i], Kt_rows[j], out=step)
-        np.multiply(step, best_delta, out=step)
-        F += step
+        delta[()] = best_delta
+        multiply(diff, delta, step)
+        add(F, step, F)
         it += 1
 
 

@@ -660,6 +660,7 @@ class TestFetch:
             assert main(["prepare", "--input", str(dest), "--out-dir", str(out)]) == 0
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_fetch_passes_timeout(self, tmp_path, monkeypatch):
         calls = []

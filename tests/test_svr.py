@@ -197,6 +197,14 @@ def time_feature_series(n, seed):
     return (np.arange(n) / (n - 1)).reshape(-1, 1), y
 
 
+class _RecordingGram(np.ndarray):
+    """A Gram that records the (i, j) of each ``item`` read."""
+
+    def item(self, *args):
+        self.reads.append(args)
+        return super().item(*args)
+
+
 class TestSmoMatchesScalarReference:
     """The vectorized sweep reproduces the scalar loop bit for bit."""
 
@@ -253,6 +261,20 @@ class TestSmoMatchesScalarReference:
             outcomes.add(self._assert_identical(X, y, spec, c, epsilon=epsilon,
                                                 max_iter=max_iter)[1])
         assert outcomes == {True, False}
+
+    def test_pair_cache_clears_when_full(self):
+        # 83 distinct working pairs at n = 38, against a cache of at most
+        # n pairs, so the fit empties it twice
+        X, y = time_feature_series(38, seed=0)
+        spec = KernelSpec("rbf", gamma=1.0)
+        n_iter, converged = self._assert_identical(X, y, spec, c=100.0)
+        assert converged and n_iter == 3369
+        # the solver reads K[i, j] only for a pair it does not hold
+        K = np.ascontiguousarray(gram_matrix(spec, X)).view(_RecordingGram)
+        K.reads = []
+        svr._smo_solve(K, y, 100.0, 0.1, 1e-3, 3800)
+        # 83 pairs, 19 of them read again after a clear dropped them
+        assert len(set(K.reads)) == 83 and len(K.reads) == 102
 
     def test_duplicated_rows_force_ties(self):
         X, y = time_feature_series(15, seed=4)
