@@ -108,7 +108,10 @@ def _cmd_compare(args) -> int:
         return EXIT_MISSING_RESULTS
     try:
         cfg = resolve_config(args)
-        report = pipeline.run_compare(cfg, models=models, subset_ok=args.subset_ok)
+        # a config given on the command line must be the one the results used
+        given = args.config or args.seed is not None
+        report = pipeline.run_compare(cfg.out_dir, models=models, subset_ok=args.subset_ok,
+                                      expected_hash=config_hash(cfg) if given else None)
     except (ConfigError, pipeline.PipelineError) as exc:
         print(f"compare failed: {exc}", file=sys.stderr)
         return EXIT_MISSING_RESULTS

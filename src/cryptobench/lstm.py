@@ -18,6 +18,10 @@ step.  W is stored as it is multiplied, as the head of the flat
 parameter vector (``LstmParams``).  Everything runs in float64 numpy; the
 per-sample operations (``cell_forward``, ``sequence_forward``,
 ``bptt_gradients``) run the same code with B = 1.
+
+``epoch_grid`` is the one training entry point: mini-batch Adam over the
+training windows in time order (no shuffling), one Adam step per batch,
+deterministic for a fixed seed, scored after every epoch.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ __all__ = [
     "sequence_forward",
     "bptt_gradients",
     "adam_step",
-    "train",
     "epoch_grid",
     "predict_batch",
 ]
@@ -483,29 +486,48 @@ class _ForkedScorer:
         self._proc.join()
 
 
-def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
-    """Train ``epochs`` epochs, scoring the train and test windows after
-    each; returns the final parameters, the history and the snapshots.
+def epoch_grid(
+    data: WindowedDataset,
+    test: WindowedDataset,
+    epoch_counts: Sequence[int],
+    seed: int,
+    hyper: LstmConfig = LstmConfig(),
+) -> tuple[list[tuple[int, float]], dict[int, Snapshot], list[TrainRecord]]:
+    """Train up to the largest epoch count in the grid; return the test
+    MSE at each count, a snapshot of the model and its test predictions
+    at each count, and the train/test MSE history of every epoch.
 
-    Scoring is ``predict_batch`` over the train and test windows
-    together, split at the train count.  No later epoch reads it, so
-    with more than one usable CPU (``os.sched_getaffinity``) and more
-    than one epoch, a forked scorer process scores each epoch but the
-    last while this process trains the next one; this process collects
-    epoch e's predictions before it sends epoch e + 1.  The last epoch
-    has nothing to overlap with, so when its windows span more than one
-    ``_PREDICT_CHUNK``, this process scores the first half of the chunks
-    and the scorer the rest, and the two halves are joined; otherwise
-    this process scores it whole.  On one CPU it scores every epoch
-    itself.  ``predict_batch`` cuts chunks at multiples of
-    ``_PREDICT_CHUNK`` from its first window, and the split is one of
-    them, so every window is scored in the same chunk either way and
-    the predictions, and so the history, are the same bit for bit.
+    Training is full-pass mini-batch Adam, deterministic for a fixed
+    seed: the windows are visited in time order (no shuffling), one Adam
+    step per batch of ``hyper.batch_size``.  A run of N epochs therefore
+    passes through exactly the states the shorter runs end on, so one
+    pass with snapshots reproduces the independent per-count runs bit
+    for bit.
+
+    Each epoch is scored by ``predict_batch`` over the train and test
+    windows together, split at the train count.  No later epoch reads
+    it, so with more than one usable CPU (``os.sched_getaffinity``) and
+    more than one epoch, a forked scorer process scores each epoch but
+    the last while this process trains the next one; this process
+    collects epoch e's predictions before it sends epoch e + 1.  The
+    last epoch has nothing to overlap with, so when its windows span
+    more than one ``_PREDICT_CHUNK``, this process scores the first half
+    of the chunks and the scorer the rest, and the two halves are
+    joined; otherwise this process scores it whole.  On one CPU it
+    scores every epoch itself.  ``predict_batch`` cuts chunks at
+    multiples of ``_PREDICT_CHUNK`` from its first window, and the split
+    is one of them, so every window is scored in the same chunk either
+    way and the predictions, and so the history, are the same bit for
+    bit.  Code that wraps ``predict_batch`` in this process, such as
+    perfbench's ``lstm.*`` spans, then sees only this process's share of
+    the last epoch.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    counts = [int(e) for e in epoch_counts]
+    if not counts or any(e < 1 for e in counts):
+        raise ValueError("epoch grid must be non-empty positive integers")
     if len(data) == 0:
         raise ValueError("training dataset is empty")
+    epochs = max(counts)
 
     rng = np.random.default_rng(seed)
     params = init_params(1, hyper.hidden_size, rng)
@@ -521,7 +543,7 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
     # where the last epoch splits: after half its chunks, 0 for one chunk
     split = math.ceil(len(eval_inputs) / _PREDICT_CHUNK) // 2 * _PREDICT_CHUNK
 
-    wanted = set(int(e) for e in snapshot_epochs)
+    wanted = set(counts)
     snapshots: dict[int, Snapshot] = {}
     history: list[TrainRecord] = []
 
@@ -559,52 +581,4 @@ def _train_loop(data, test, epochs, seed, hyper, snapshot_epochs):
     finally:
         if scorer:
             scorer.close()
-    return params, history, snapshots
-
-
-def train(
-    data: WindowedDataset,
-    test: WindowedDataset,
-    epochs: int,
-    seed: int,
-    hyper: LstmConfig = LstmConfig(),
-) -> tuple[LstmParams, list[TrainRecord]]:
-    """Full-pass mini-batch training, deterministic for a fixed seed.
-
-    Samples are visited in time order (no shuffling); one Adam step per
-    batch of ``hyper.batch_size``.  The history holds train/test MSE
-    measured after each epoch, on a forked scorer process where more
-    than one CPU is usable (see ``_train_loop``).
-    """
-    params, history, _ = _train_loop(data, test, epochs, seed, hyper, ())
-    return params, history
-
-
-def epoch_grid(
-    data: WindowedDataset,
-    test: WindowedDataset,
-    epoch_counts: Sequence[int],
-    seed: int,
-    hyper: LstmConfig = LstmConfig(),
-) -> tuple[list[tuple[int, float]], dict[int, Snapshot], list[TrainRecord]]:
-    """Test MSE after each epoch count in the grid, plus a snapshot of
-    the model and its test predictions at each count.
-
-    Training is deterministic and batches are visited in a fixed order,
-    so a run of N epochs passes through exactly the states the shorter
-    runs end on; one pass with snapshots therefore reproduces the
-    independent per-count runs bit for bit.  Each epoch is scored as
-    ``_train_loop`` describes: with more than one usable CPU, all but
-    the last on a forked scorer process while the next epoch trains,
-    and the last split between the two processes at a chunk boundary
-    when it spans more than one chunk.  Code that wraps
-    ``predict_batch`` in this process, such as perfbench's ``lstm.*``
-    spans, then sees only this process's share of the last epoch.
-    """
-    counts = [int(e) for e in epoch_counts]
-    if not counts or any(e < 1 for e in counts):
-        raise ValueError("epoch grid must be non-empty positive integers")
-    top = max(counts)
-    _, history, snapshots = _train_loop(data, test, top, seed, hyper,
-                                        sorted(set(counts)))
     return [(e, history[e - 1].test_mse) for e in counts], snapshots, history

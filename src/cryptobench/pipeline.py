@@ -15,8 +15,9 @@ Artifact layout under ``out_dir``:
     report.json / report.txt
     predictions_{model}.csv   date,actual,predicted  (raw prices)
 
-Every file embeds the config hash and seed; floats are written with
-``repr`` so reruns with the same config are byte-identical.
+Every file embeds the config hash and seed (the comparison files carry
+those of the results they rank); floats are written with ``repr`` so
+reruns with the same config are byte-identical.
 
 ``run_model`` writes every family's artifacts: each family only runs its
 sweep and refit and returns tables, model fields, its winning config and
@@ -349,8 +350,7 @@ def _fit_poly(cfg: RunConfig, prepared: PreparedData) -> _Fit:
         (xs[:split], prepared.train_values),
         (xs[split:], prepared.test_values),
         cfg.poly_degrees)
-    best_degree = sweep.best[0]
-    model = polyreg.fit(xs[:split], prepared.train_values, best_degree)
+    model = sweep.model
     return _Fit(
         tables={"poly_degrees.csv": (["degree", "mse"], sweep.rows)},
         model={
@@ -359,7 +359,7 @@ def _fit_poly(cfg: RunConfig, prepared: PreparedData) -> _Fit:
             "coefficients": model.coefficients.tolist(),
             "feature_scale": list(model.feature_scale),
         },
-        summary={"degree": best_degree, "include_bias": False},
+        summary={"degree": model.degree, "include_bias": False},
         preds_norm=polyreg.predict(model, xs[split:]),
     )
 
@@ -410,8 +410,8 @@ def run_model(cfg: RunConfig, name: str) -> dict:
 # --- comparison --------------------------------------------------------
 
 # The fields of a ``{model}_result.json`` that ``run_compare`` reads.
-_RESULT_KEYS = ("dataset_fingerprint", "config_hash", "mse_normalized", "mse_raw",
-                "config_summary", "predictions")
+_RESULT_KEYS = ("dataset_fingerprint", "config_hash", "seed", "mse_normalized",
+                "mse_raw", "config_summary", "predictions")
 
 
 def _read_result(path: Path) -> dict:
@@ -424,12 +424,20 @@ def _read_result(path: Path) -> dict:
     for key in ("dataset_fingerprint", "config_hash"):
         if not isinstance(payload[key], str):
             raise PipelineError(f"malformed result {path}: {key} is not a string")
+    if not isinstance(payload["seed"], int):
+        raise PipelineError(f"malformed result {path}: seed is not an integer")
     return payload
 
 
-def run_compare(cfg: RunConfig, models=MODEL_NAMES, subset_ok: bool = False) -> evaluation.EvalReport:
-    """Assemble the cross-model report from the per-model result files."""
-    out = Path(cfg.out_dir)
+def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False,
+                expected_hash: str | None = None) -> evaluation.EvalReport:
+    """Assemble the cross-model report from the per-model result files.
+
+    The results must agree on dataset, config hash and seed, and the
+    report is stamped with the hash and seed they carry.  With
+    ``expected_hash``, results made under any other config are refused.
+    """
+    out = Path(out_dir)
     available = {}
     missing = []
     for name in models:
@@ -444,13 +452,19 @@ def run_compare(cfg: RunConfig, models=MODEL_NAMES, subset_ok: bool = False) -> 
             + " (pass --subset-ok to compare what exists)")
     if not available:
         raise MissingArtifactError("no model results found to compare")
-    for key in ("dataset_fingerprint", "config_hash"):
+    for key in ("dataset_fingerprint", "config_hash", "seed"):
         values = {name: payload[key] for name, payload in available.items()}
         if len(set(values.values())) > 1:
             raise MismatchedResultsError(
                 f"results disagree on {key}: "
                 + ", ".join(f"{name}={value}" for name, value in values.items())
                 + " (rerun the models against one prepare and config)")
+    first = next(iter(available.values()))
+    cfg_hash, seed = first["config_hash"], first["seed"]
+    if expected_hash is not None and expected_hash != cfg_hash:
+        raise MismatchedResultsError(
+            f"the results were made with config_hash {cfg_hash} but the given "
+            f"config and seed hash to {expected_hash}")
 
     # every value is checked before the first file is written
     results, prediction_rows = [], {}
@@ -467,17 +481,15 @@ def run_compare(cfg: RunConfig, models=MODEL_NAMES, subset_ok: bool = False) -> 
         except (KeyError, TypeError, ValueError) as exc:
             path = out / f"{name}_result.json"
             raise PipelineError(f"malformed result {path}: {exc!r}") from exc
-    fingerprint = next(iter(available.values()))["dataset_fingerprint"]
-    report = evaluation.compare(results, dataset_fingerprint=fingerprint)
+    report = evaluation.compare(results, dataset_fingerprint=first["dataset_fingerprint"])
 
-    cfg_hash = config_hash(cfg)
     _write_table(out / "comparison.csv", ["model", "mse_normalized", "mse_raw"],
                  [(r.model_name, r.mse_normalized, r.mse_raw) for r in report.results],
-                 cfg_hash, cfg.seed)
+                 cfg_hash, seed)
     _write_json(out / "report.json", {
         "format_version": FORMAT_VERSION,
         "config_hash": cfg_hash,
-        "seed": cfg.seed,
+        "seed": seed,
         "dataset_fingerprint": report.dataset_fingerprint,
         "winner": report.winner,
         "results": [
@@ -492,7 +504,7 @@ def run_compare(cfg: RunConfig, models=MODEL_NAMES, subset_ok: bool = False) -> 
     })
 
     lines = [
-        f"model comparison (config {cfg_hash}, seed {cfg.seed})",
+        f"model comparison (config {cfg_hash}, seed {seed})",
         f"dataset fingerprint: {report.dataset_fingerprint}",
         "",
         f"{'model':<12} {'mse (normalized)':>20} {'mse (raw)':>20}",
@@ -504,7 +516,7 @@ def run_compare(cfg: RunConfig, models=MODEL_NAMES, subset_ok: bool = False) -> 
 
     for name, rows in prediction_rows.items():
         _write_table(out / f"predictions_{name}.csv",
-                     ["date", "actual", "predicted"], rows, cfg_hash, cfg.seed)
+                     ["date", "actual", "predicted"], rows, cfg_hash, seed)
     return report
 
 

@@ -60,10 +60,12 @@ class PolyModel:
 
 @dataclass
 class DegreeSweep:
-    """Rows of (degree, test_mse); best = argmin with ties to the lower degree."""
+    """Rows of (degree, test_mse); best = argmin with ties to the lower
+    degree, and ``model`` is that degree's fit."""
 
     rows: list[tuple[int, float]]
     best_index: int
+    model: PolyModel
 
     @property
     def best(self) -> tuple[int, float]:
@@ -131,8 +133,9 @@ def degree_sweep(
     train_x, train_y = train
     test_x, test_y = test
     rows: list[tuple[int, float]] = []
+    models: list[PolyModel] = []
     for degree in degrees:
-        model = fit(train_x, train_y, int(degree))
-        rows.append((int(degree), mse(test_y, predict(model, test_x))))
+        models.append(fit(train_x, train_y, int(degree)))
+        rows.append((int(degree), mse(test_y, predict(models[-1], test_x))))
     best = min(range(len(rows)), key=lambda k: (rows[k][1], rows[k][0]))
-    return DegreeSweep(rows=rows, best_index=best)
+    return DegreeSweep(rows=rows, best_index=best, model=models[best])

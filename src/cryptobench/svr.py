@@ -35,7 +35,6 @@ __all__ = [
     "kernel_eval",
     "gram_matrix",
     "fit",
-    "predict",
     "predict_batch",
     "dual_objective",
     "grid_search",
@@ -330,12 +329,18 @@ def _compute_bias(F, y, beta, c_bound, eps):
     return float(-(hi + lo) / 2.0)
 
 
-def fit(X, y, cfg: SvrConfig) -> SvrModel:
-    """Train on (X, y); X is (n, d) or (n,) for a single feature."""
+def _samples(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) as float64 arrays: X (n, d), a 1-D X read as n samples of
+    one feature, and y contiguous (n,)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 1 and np.asarray(y).size != 1:
         X = X.T
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    return X, np.ascontiguousarray(y, dtype=np.float64)
+
+
+def fit(X, y, cfg: SvrConfig) -> SvrModel:
+    """Train on (X, y); X is (n, d) or (n,) for a single feature."""
+    X, y = _samples(X, y)
     n = y.shape[0]
     if X.shape[0] != n:
         raise ValueError(f"X has {X.shape[0]} rows but y has {n}")
@@ -367,15 +372,8 @@ def fit(X, y, cfg: SvrConfig) -> SvrModel:
     )
 
 
-def predict(model: SvrModel, x) -> float:
-    """Kernel expansion plus bias at a single point."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    return float(predict_batch(model, x.reshape(1, -1))[0])
-
-
 def predict_batch(model: SvrModel, X) -> np.ndarray:
+    """Kernel expansion plus bias at each row of X (a 1-D X is one point)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if model.support_vectors.shape[0] == 0:
         return np.full(X.shape[0], model.bias)
@@ -478,10 +476,7 @@ def grid_search(
     ``max_n_iter``, and the grid records its total fold fits, SMO
     iterations and capped fold fits.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 1 and np.asarray(y).size != 1:
-        X = X.T
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    X, y = _samples(X, y)
     n = y.shape[0]
     if k < 2:
         raise ValueError(f"cross-validation needs k >= 2, got {k}")

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import http.server
 import io
@@ -17,7 +18,7 @@ import pytest
 import cryptobench
 from cryptobench import cli, pipeline
 from cryptobench.cli import main
-from cryptobench.config import RunConfig, load_config
+from cryptobench.config import RunConfig, config_hash, load_config
 from cryptobench.dataset import make_windows
 from cryptobench import evaluation
 from cryptobench import lstm as lstm_mod
@@ -96,7 +97,8 @@ def window_svr_run(tmp_path_factory):
     out = root / "out"
     base = ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(out), "--seed", "5"]
     assert main(["prepare", *base]) == 0
-    assert main(["run", "svr", *base]) == 0
+    with pytest.warns(svr_mod.ConvergenceWarning, match=r"linear C=10 \(3 of 5 folds\)"):
+        assert main(["run", "svr", *base]) == 0
     return out
 
 
@@ -429,6 +431,25 @@ class TestRun:
         assert main(["run", "poly", "--input", SAMPLE, "--out-dir", out]) == 3
         assert "rerun prepare" in capsys.readouterr().err
 
+    def test_poly_fits_each_degree_once(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "out")
+        assert main(["prepare", "--out-dir", out]) == 0
+        fits = []
+        real_fit = polyreg.fit
+
+        def counting_fit(*args):
+            fits.append(real_fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(polyreg, "fit", counting_fit)
+        assert main(["run", "poly", "--out-dir", out]) == 0
+        assert [m.degree for m in fits] == list(RunConfig().poly_degrees)
+        model, _ = pipeline.load_poly_model(Path(out) / "poly_model.json")
+        swept = next(m for m in fits if m.degree == model.degree)
+        assert model.coefficients.tobytes() == swept.coefficients.tobytes()
+        assert (np.float64([model.intercept, *model.feature_scale]).tobytes()
+                == np.float64([swept.intercept, *swept.feature_scale]).tobytes())
+
 
 # What ``run_model`` writes for each family, beyond its model and result files.
 FAMILY_ARTIFACTS = {
@@ -576,16 +597,18 @@ class TestCompare:
         header, rows = read_table(Path(out) / "comparison.csv")
         assert sorted(r[0] for r in rows) == ["poly", "svr"]
 
-    @pytest.mark.parametrize("key", ["dataset_fingerprint", "config_hash"])
-    def test_mismatched_results_exit_4(self, full_run, tmp_path, key, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("dataset_fingerprint", "0" * 16), ("config_hash", "0" * 16), ("seed", 0),
+    ], ids=["dataset_fingerprint", "config_hash", "seed"])
+    def test_mismatched_results_exit_4(self, full_run, tmp_path, key, value, capsys):
         copy, args = _private_copy(full_run, tmp_path)
         path = copy / "svr_result.json"
         payload = json.loads(path.read_text())
-        payload[key] = "0" * 16
+        payload[key] = value
         path.write_text(json.dumps(payload))
         assert main(["compare", *args]) == 4
         err = capsys.readouterr().err
-        assert key in err and "svr=" + "0" * 16 in err
+        assert key in err and f"svr={value}" in err
         assert not (copy / "report.json").exists()
 
     def test_truncated_result_exits_4(self, full_run, tmp_path, capsys):
@@ -611,6 +634,33 @@ class TestCompare:
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
         assert not (copy / "report.json").exists()
+
+    def test_report_carries_the_results_hash_and_seed(self, tmp_path):
+        # made with seed 7, compared without --config or --seed
+        out = tmp_path / "out"
+        assert main(["prepare", "--out-dir", str(out), "--seed", "7"]) == 0
+        assert main(["run", "poly", "--out-dir", str(out), "--seed", "7"]) == 0
+        assert main(["compare", "--out-dir", str(out), "--subset-ok"]) == 0
+        stamp = ["# config_hash=942629c22a73", "# seed=7"]
+        for name in ("comparison.csv", "predictions_poly.csv"):
+            assert (out / name).read_text().splitlines()[:2] == stamp
+        report = json.loads((out / "report.json").read_text())
+        assert (report["config_hash"], report["seed"]) == ("942629c22a73", 7)
+        assert ((out / "report.txt").read_text().splitlines()[0]
+                == "model comparison (config 942629c22a73, seed 7)")
+
+    @pytest.mark.parametrize("flags", [["--seed", "4"], []], ids=["seed", "config"])
+    def test_mismatched_config_exits_4(self, full_run, tmp_path, capsys, flags):
+        copy, args = _private_copy(full_run, tmp_path)
+        cfg = load_config(args[3])  # the small INI, which sets no seed
+        given = config_hash(dataclasses.replace(cfg, seed=int(flags[1])) if flags else cfg)
+        assert main(["compare", *args[:-2], *flags]) == 4
+        err = capsys.readouterr().err.splitlines()
+        result = json.loads((copy / "poly_result.json").read_text())
+        assert len(err) == 1 and err[0].startswith("compare failed:")
+        assert result["config_hash"] in err[0] and given in err[0]
+        assert not any((copy / name).exists() for name in (
+            "report.json", "report.txt", "comparison.csv", "predictions_poly.csv"))
 
     def test_missing_config_exits_4(self, full_run, tmp_path, capsys):
         out, _ = full_run

@@ -19,7 +19,6 @@ from cryptobench.lstm import (
     epoch_grid,
     init_params,
     sequence_forward,
-    train,
 )
 
 from oracles import (
@@ -303,21 +302,22 @@ class TestTrain:
     def test_deterministic_for_fixed_seed(self):
         data = make_windows(np.sin(np.linspace(0, 6, 40)), 6)
         cfg = LstmConfig(hidden_size=6)
-        model_a, hist_a = train(data, data, epochs=3, seed=7, hyper=cfg)
-        model_b, hist_b = train(data, data, epochs=3, seed=7, hyper=cfg)
+        _, snaps_a, hist_a = epoch_grid(data, data, [3], seed=7, hyper=cfg)
+        _, snaps_b, hist_b = epoch_grid(data, data, [3], seed=7, hyper=cfg)
         assert hist_a == hist_b
-        np.testing.assert_array_equal(model_a.to_vector(), model_b.to_vector())
+        np.testing.assert_array_equal(snaps_a[3].params.to_vector(),
+                                      snaps_b[3].params.to_vector())
 
     def test_seed_changes_history(self):
         data = make_windows(np.sin(np.linspace(0, 6, 40)), 6)
         cfg = LstmConfig(hidden_size=6)
-        _, hist_a = train(data, data, epochs=2, seed=7, hyper=cfg)
-        _, hist_b = train(data, data, epochs=2, seed=8, hyper=cfg)
+        _, _, hist_a = epoch_grid(data, data, [2], seed=7, hyper=cfg)
+        _, _, hist_b = epoch_grid(data, data, [2], seed=8, hyper=cfg)
         assert hist_a != hist_b
 
     def test_history_shape(self):
         data = constant_dataset(0.3, n=20, window=4)
-        _, history = train(data, data, epochs=4, seed=0, hyper=LstmConfig(hidden_size=4))
+        _, _, history = epoch_grid(data, data, [4], seed=0, hyper=LstmConfig(hidden_size=4))
         assert [rec.epoch for rec in history] == [1, 2, 3, 4]
         assert all(rec.train_mse >= 0 and rec.test_mse >= 0 for rec in history)
 
@@ -325,17 +325,17 @@ class TestTrain:
         # analytic optimum is predicting the constant; 100 epochs must
         # drive test MSE below 1e-4
         data = constant_dataset(0.5)
-        _, history = train(data, data, epochs=100, seed=3,
-                           hyper=LstmConfig(hidden_size=16))
+        _, _, history = epoch_grid(data, data, [100], seed=3,
+                                   hyper=LstmConfig(hidden_size=16))
         assert history[-1].test_mse < 1e-4
 
     def test_empty_dataset_rejected(self):
         data = constant_dataset(0.5)
         empty = lstm.WindowedDataset(np.empty((0, 5)), np.empty(0), 5)
-        with pytest.raises(ValueError):
-            train(empty, data, epochs=1, seed=0)
-        with pytest.raises(ValueError):
-            train(data, data, epochs=0, seed=0)
+        with pytest.raises(ValueError, match="training dataset is empty"):
+            epoch_grid(empty, data, [1], seed=0)
+        with pytest.raises(ValueError, match="positive integers"):
+            epoch_grid(data, data, [0], seed=0)
 
 
 class TestEpochGrid:
@@ -419,10 +419,10 @@ class TestEpochGrid:
         cfg = LstmConfig(hidden_size=4)
         rows, snapshots, _ = epoch_grid(data, data, [1, 3], seed=11, hyper=cfg)
         for count, mse in rows:
-            model, history = train(data, data, epochs=count, seed=11, hyper=cfg)
+            _, alone, history = epoch_grid(data, data, [count], seed=11, hyper=cfg)
             assert history[-1].test_mse == mse
             np.testing.assert_array_equal(
-                snapshots[count].params.to_vector(), model.to_vector())
+                snapshots[count].params.to_vector(), alone[count].params.to_vector())
 
 
 class TestParamsLayout:

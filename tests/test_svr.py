@@ -17,7 +17,6 @@ from cryptobench.svr import (
     grid_search,
     gram_matrix,
     kernel_eval,
-    predict,
     predict_batch,
 )
 
@@ -134,7 +133,7 @@ class TestFit:
             cfg = SvrConfig(kernel=spec, c=5.0, epsilon=0.2, tol=1e-6)
             model = fit(X, y, cfg)
             assert model.converged
-            preds = np.array([predict(model, x) for x in X])
+            preds = predict_batch(model, X)
             resid = np.abs(preds - y)
             coefs = np.zeros(len(y))
             # map support coefficients back to sample positions
@@ -288,14 +287,14 @@ class TestPredict:
     def test_empty_support_set_returns_bias(self):
         model = SvrModel(support_vectors=np.empty((0, 1)), dual_coefs=np.empty(0),
                          bias=1.5, kernel=KernelSpec("rbf", gamma=1.0))
-        assert predict(model, np.array([42.0])) == 1.5
+        assert predict_batch(model, np.array([42.0])).tolist() == [1.5]
 
     def test_single_linear_support_vector(self):
         model = SvrModel(support_vectors=np.array([[2.0, 1.0]]),
                          dual_coefs=np.array([0.5]), bias=-1.0,
                          kernel=KernelSpec("linear"))
         x = np.array([4.0, 3.0])
-        np.testing.assert_allclose(predict(model, x), 0.5 * (2 * 4 + 1 * 3) - 1.0,
+        np.testing.assert_allclose(predict_batch(model, x), [0.5 * (2 * 4 + 1 * 3) - 1.0],
                                    rtol=1e-15)
 
     def test_matches_oracle_predictions(self):
@@ -313,13 +312,13 @@ class TestPredict:
         for _ in range(5):
             x = rng.normal(size=2)
             ref = float(gram_matrix(spec, X, x.reshape(1, -1))[:, 0] @ beta_ref + bias_ref)
-            assert abs(predict(model, x) - ref) <= 1e-6
+            assert abs(predict_batch(model, x)[0] - ref) <= 1e-6
 
     def test_dimension_mismatch(self):
         model = SvrModel(support_vectors=np.ones((2, 3)), dual_coefs=np.ones(2),
                          bias=0.0, kernel=KernelSpec("linear"))
         with pytest.raises(ValueError, match="dimension"):
-            predict(model, np.ones(2))
+            predict_batch(model, np.ones(2))
 
 
 class TestGammaInvariance:
