@@ -12,9 +12,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, config_hash, load_config
-from .dataset import DatasetError
-from . import pipeline
+# Each handler imports the pipeline (and with it numpy) itself, and the
+# pipeline imports a model family only to run or load it, so a command
+# loads only the code it runs.
+from .config import MODEL_NAMES, ConfigError, RunConfig, config_hash, load_config
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -42,12 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_prepare)
 
     p_run = sub.add_parser("run", help="run one model family's sweep")
-    p_run.add_argument("model", choices=pipeline.MODEL_NAMES)
+    p_run.add_argument("model", choices=MODEL_NAMES)
     _add_common_flags(p_run)
 
     p_cmp = sub.add_parser("compare", help="rank the model results by MSE")
     _add_common_flags(p_cmp)
-    p_cmp.add_argument("--models", default=",".join(pipeline.MODEL_NAMES),
+    p_cmp.add_argument("--models", default=",".join(MODEL_NAMES),
                        help="comma-separated subset to compare")
     p_cmp.add_argument("--subset-ok", action="store_true",
                        help="compare whatever results exist")
@@ -73,6 +74,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_prepare(args) -> int:
+    from . import pipeline
+    from .dataset import DatasetError
+
     try:
         cfg = resolve_config(args)
         info = pipeline.prepare(cfg)
@@ -87,6 +91,9 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from . import pipeline
+    from .dataset import DatasetError
+
     try:
         cfg = resolve_config(args)
         payload = pipeline.run_model(cfg, args.model)
@@ -102,10 +109,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    unknown = [m for m in models if m not in pipeline.MODEL_NAMES]
+    unknown = [m for m in models if m not in MODEL_NAMES]
     if unknown:
         print(f"unknown models: {', '.join(unknown)}", file=sys.stderr)
         return EXIT_MISSING_RESULTS
+    from . import pipeline
+
     try:
         cfg = resolve_config(args)
         # a config given on the command line must be the one the results used

@@ -13,13 +13,12 @@ in each output artifact so reruns are attributable.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import json
 from dataclasses import Field, asdict, dataclass, fields, replace
 from pathlib import Path
 
-__all__ = ["RunConfig", "load_config", "config_hash", "ConfigError"]
+__all__ = ["RunConfig", "load_config", "config_hash", "ConfigError", "MODEL_NAMES"]
 
 
 class ConfigError(ValueError):
@@ -82,7 +81,10 @@ class RunConfig:
 
 
 _CLI_ONLY = ("input_path", "out_dir")
+# field prefix -> INI section; the prefixes are the model family names
 _PREFIXES = {"lstm": "lstm", "svr": "svr", "poly": "polyreg"}
+
+MODEL_NAMES = tuple(_PREFIXES)
 
 
 def _schema() -> dict[str, dict[str, Field]]:
@@ -108,6 +110,8 @@ def _parse(raw: str, default):
 
 def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
     """Overlay an INI config file on ``base`` (defaults when omitted)."""
+    import configparser  # only commands given --config parse INI
+
     base = base if base is not None else RunConfig()
     parser = configparser.ConfigParser()
     try:

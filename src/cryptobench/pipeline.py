@@ -22,7 +22,8 @@ reruns with the same config are byte-identical.
 ``run_model`` writes every family's artifacts: each family only runs its
 sweep and refit and returns tables, model fields, its winning config and
 normalized test predictions; the stamping, the scoring on both scales
-and the result file are shared.
+and the result file are shared.  A family's module is imported by the
+functions that run or load it, so each command loads only its own.
 """
 
 from __future__ import annotations
@@ -36,12 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from . import sample_data_path
-from .config import RunConfig, config_hash
+from .config import MODEL_NAMES, RunConfig, config_hash
 from . import dataset as ds
 from . import evaluation
-from . import lstm as lstm_mod
-from . import polyreg
-from . import svr as svr_mod
 
 __all__ = [
     "PipelineError",
@@ -238,6 +236,8 @@ class _Fit:
 
 
 def _fit_lstm(cfg: RunConfig, prepared: PreparedData) -> _Fit:
+    from . import lstm as lstm_mod
+
     train_ds, test_ds = _boundary_windows(prepared, cfg.window)
     hyper = lstm_mod.LstmConfig(
         hidden_size=cfg.lstm_hidden_size,
@@ -282,6 +282,8 @@ def _time_features(n: int) -> np.ndarray:
 
 
 def _fit_svr(cfg: RunConfig, prepared: PreparedData) -> _Fit:
+    from . import svr as svr_mod
+
     split = prepared.split_index
     if cfg.svr_features == "time":
         t = _time_features(len(prepared.normalized))
@@ -344,6 +346,8 @@ def _fit_svr(cfg: RunConfig, prepared: PreparedData) -> _Fit:
 
 
 def _fit_poly(cfg: RunConfig, prepared: PreparedData) -> _Fit:
+    from . import polyreg
+
     split = prepared.split_index
     xs = np.arange(len(prepared.normalized), dtype=np.float64)
     sweep = polyreg.degree_sweep(
@@ -365,8 +369,6 @@ def _fit_poly(cfg: RunConfig, prepared: PreparedData) -> _Fit:
 
 
 _RUNNERS = {"lstm": _fit_lstm, "svr": _fit_svr, "poly": _fit_poly}
-
-MODEL_NAMES = tuple(_RUNNERS)
 
 
 def run_model(cfg: RunConfig, name: str) -> dict:
@@ -524,6 +526,8 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
 
 def load_lstm_checkpoint(path: str | Path):
     """Rebuild (LstmParams, metadata) from a checkpoint file, bit-exact."""
+    from . import lstm as lstm_mod
+
     payload = _read_json(Path(path))
     if payload.get("kind") != "lstm":
         raise PipelineError(f"{path} is not an LSTM checkpoint")
@@ -531,6 +535,8 @@ def load_lstm_checkpoint(path: str | Path):
 
 
 def load_svr_model(path: str | Path):
+    from . import svr as svr_mod
+
     payload = _read_json(Path(path))
     if payload.get("kind") != "svr":
         raise PipelineError(f"{path} is not an SVR model file")
@@ -551,6 +557,8 @@ def load_svr_model(path: str | Path):
 
 
 def load_poly_model(path: str | Path):
+    from . import polyreg
+
     payload = _read_json(Path(path))
     if payload.get("kind") != "poly":
         raise PipelineError(f"{path} is not a polynomial model file")

@@ -329,13 +329,17 @@ def _compute_bias(F, y, beta, c_bound, eps):
     return float(-(hi + lo) / 2.0)
 
 
+def _rows(X, one_feature: bool) -> np.ndarray:
+    """X as a float64 (n, d) array.  A 1-D X is n samples of one feature
+    when ``one_feature`` holds and one d-feature point otherwise."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return X.T if one_feature and X.shape[0] == 1 else X
+
+
 def _samples(X, y) -> tuple[np.ndarray, np.ndarray]:
     """(X, y) as float64 arrays: X (n, d), a 1-D X read as n samples of
-    one feature, and y contiguous (n,)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 1 and np.asarray(y).size != 1:
-        X = X.T
-    return X, np.ascontiguousarray(y, dtype=np.float64)
+    one feature unless y is a single target, and y contiguous (n,)."""
+    return _rows(X, np.asarray(y).size != 1), np.ascontiguousarray(y, dtype=np.float64)
 
 
 def fit(X, y, cfg: SvrConfig) -> SvrModel:
@@ -373,8 +377,9 @@ def fit(X, y, cfg: SvrConfig) -> SvrModel:
 
 
 def predict_batch(model: SvrModel, X) -> np.ndarray:
-    """Kernel expansion plus bias at each row of X (a 1-D X is one point)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    """Kernel expansion plus bias at each row of X.  A 1-D X reads as
+    ``fit`` reads it: n samples for a one-feature model, else one point."""
+    X = _rows(X, model.support_vectors.shape[1] == 1)
     if model.support_vectors.shape[0] == 0:
         return np.full(X.shape[0], model.bias)
     if X.shape[1] != model.support_vectors.shape[1]:

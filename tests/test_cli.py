@@ -143,6 +143,28 @@ def _private_copy(full_run, tmp_path):
     return copy, [*base[:-4], "--out-dir", str(copy), *base[-2:]]
 
 
+# Runs ``cli.main`` on its arguments, if any, in a fresh interpreter and
+# prints the exit code and then every loaded module's name, one a line.
+_MODULES_PROBE = """\
+import contextlib, io, sys
+from cryptobench import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted(sys.modules), sep="\\n")
+"""
+
+
+def modules_after(*argv):
+    """(exit code, names in ``sys.modules``) of a fresh interpreter that
+    imported ``cryptobench.cli`` and ran ``main(argv)`` if argv is given."""
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(cryptobench.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    code, *names = proc.stdout.splitlines()
+    return int(code), set(names)
+
+
 def read_table(path):
     rows = []
     header = None
@@ -727,21 +749,11 @@ class TestFetch:
         assert dest.read_bytes() == b"Date,Close\n"
 
     def test_cli_import_leaves_urllib_request_unloaded(self):
-        code = "import sys, cryptobench.cli; print('urllib.request' in sys.modules)"
-        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [
-            str(Path(cryptobench.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
+        assert "urllib.request" not in modules_after()[1]
 
     def test_cli_import_leaves_process_pools_unloaded(self):
-        code = ("import sys, cryptobench.cli; "
-                "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
-        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [
-            str(Path(cryptobench.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        loaded = modules_after()[1]
+        assert not loaded & {"multiprocessing", "concurrent.futures"}
 
     def test_fetch_bad_url_exits_2(self, tmp_path, capsys):
         dest = tmp_path / "x.csv"
@@ -754,3 +766,37 @@ class TestFetch:
         assert main(["fetch", "--url", "notaurl", "--input", str(dest)]) == 2
         assert "fetch failed" in capsys.readouterr().err
         assert not dest.exists()
+
+
+FAMILIES = {"cryptobench.lstm", "cryptobench.svr", "cryptobench.polyreg"}
+
+
+class TestImportGraph:
+    """Each command loads only the modules it runs (checked in fresh
+    interpreters, so nothing the test session imported counts)."""
+
+    def test_cli_import_loads_neither_numpy_nor_the_pipeline(self):
+        loaded = modules_after()[1]
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.startswith("cryptobench")} == {
+            "cryptobench", "cryptobench.cli", "cryptobench.config"}
+
+    def test_prepare_loads_no_model_family(self, tmp_path):
+        code, loaded = modules_after("prepare", "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        assert "cryptobench.pipeline" in loaded
+        assert not loaded & FAMILIES
+
+    def test_run_poly_loads_no_other_family(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["prepare", "--out-dir", out]) == 0
+        code, loaded = modules_after("run", "poly", "--out-dir", out)
+        assert code == 0
+        assert loaded & FAMILIES == {"cryptobench.polyreg"}
+
+    def test_compare_loads_no_model_family(self, full_run, tmp_path):
+        _, base = _private_copy(full_run, tmp_path)
+        code, loaded = modules_after("compare", *base)
+        assert code == 0
+        assert "cryptobench.evaluation" in loaded
+        assert not loaded & FAMILIES

@@ -314,6 +314,16 @@ class TestPredict:
             ref = float(gram_matrix(spec, X, x.reshape(1, -1))[:, 0] @ beta_ref + bias_ref)
             assert abs(predict_batch(model, x)[0] - ref) <= 1e-6
 
+    def test_one_dimensional_x_fits_and_predicts_as_samples(self):
+        x = np.linspace(0.0, 1.0, 10)
+        y = np.sin(3.0 * x)
+        cfg = SvrConfig(kernel=KernelSpec("rbf", gamma=1.0), c=10.0, epsilon=0.01)
+        model = fit(x, y, cfg)
+        assert model.support_vectors.shape[1] == 1
+        preds = predict_batch(model, x)
+        assert preds.shape == (10,)
+        np.testing.assert_array_equal(preds, predict_batch(model, x.reshape(-1, 1)))
+
     def test_dimension_mismatch(self):
         model = SvrModel(support_vectors=np.ones((2, 3)), dual_coefs=np.ones(2),
                          bias=0.0, kernel=KernelSpec("linear"))
