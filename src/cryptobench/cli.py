@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 input or validation failure during prepare or
 fetch, 3 model run failure, 4 missing or mismatched results during
-compare.
+compare.  A ``ValueError`` (bad config, input or artifacts) or an
+``OSError`` (I/O, the network, a dead worker) prints one
+``<prepare|run X|compare|fetch> failed: <message>`` line on stderr and
+exits with its command's code; any other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 # Each handler imports the pipeline (and with it numpy) itself, and the
 # pipeline imports a model family only to run or load it, so a command
 # loads only the code it runs.
-from .config import MODEL_NAMES, ConfigError, RunConfig, config_hash, load_config
+from .config import MODEL_NAMES, RunConfig, config_hash, load_config
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -60,29 +63,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, base=cfg)
+    cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
-    if getattr(args, "input", None):
+    if args.input:
         overrides["input_path"] = args.input
-    if getattr(args, "out_dir", None):
+    if args.out_dir:
         overrides["out_dir"] = args.out_dir
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     return replace(cfg, **overrides) if overrides else cfg
 
 
 def _cmd_prepare(args) -> int:
     from . import pipeline
-    from .dataset import DatasetError
 
-    try:
-        cfg = resolve_config(args)
-        info = pipeline.prepare(cfg)
-    except (ConfigError, DatasetError, OSError) as exc:
-        print(f"prepare failed: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    info = pipeline.prepare(resolve_config(args))
     print(f"parsed {info['n_parsed']} records, kept {info['n_records']} after cleaning")
     print(f"split: {info['n_train']} train / {info['n_test']} test")
     for path in info["paths"]:
@@ -92,15 +87,8 @@ def _cmd_prepare(args) -> int:
 
 def _cmd_run(args) -> int:
     from . import pipeline
-    from .dataset import DatasetError
 
-    try:
-        cfg = resolve_config(args)
-        payload = pipeline.run_model(cfg, args.model)
-    except (ConfigError, pipeline.PipelineError, DatasetError, ValueError,
-            ChildProcessError) as exc:
-        print(f"run {args.model} failed: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+    payload = pipeline.run_model(resolve_config(args), args.model)
     print(f"{args.model}: mse_normalized={payload['mse_normalized']!r} "
           f"mse_raw={payload['mse_raw']!r}")
     print(f"winning config: {payload['config_summary']}")
@@ -111,19 +99,14 @@ def _cmd_compare(args) -> int:
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     unknown = [m for m in models if m not in MODEL_NAMES]
     if unknown:
-        print(f"unknown models: {', '.join(unknown)}", file=sys.stderr)
-        return EXIT_MISSING_RESULTS
+        raise ValueError(f"unknown models: {', '.join(unknown)}")
     from . import pipeline
 
-    try:
-        cfg = resolve_config(args)
-        # a config given on the command line must be the one the results used
-        given = args.config or args.seed is not None
-        report = pipeline.run_compare(cfg.out_dir, models=models, subset_ok=args.subset_ok,
-                                      expected_hash=config_hash(cfg) if given else None)
-    except (ConfigError, pipeline.PipelineError) as exc:
-        print(f"compare failed: {exc}", file=sys.stderr)
-        return EXIT_MISSING_RESULTS
+    cfg = resolve_config(args)
+    # a config given on the command line must be the one the results used
+    given = args.config or args.seed is not None
+    pipeline.run_compare(cfg.out_dir, models=models, subset_ok=args.subset_ok,
+                         expected_hash=config_hash(cfg) if given else None)
     print((Path(cfg.out_dir) / "report.txt").read_text(), end="")
     return EXIT_OK
 
@@ -133,30 +116,33 @@ def _cmd_fetch(args) -> int:
     # fetch needs it
     import urllib.request
 
-    try:
-        with urllib.request.urlopen(args.url, timeout=FETCH_TIMEOUT_S) as response:
-            data = response.read()
-        dest = Path(args.input)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_bytes(data)
-    except (OSError, ValueError) as exc:
-        print(f"fetch failed: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with urllib.request.urlopen(args.url, timeout=FETCH_TIMEOUT_S) as response:
+        data = response.read()
+    dest = Path(args.input)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    dest.write_bytes(data)
     print(f"wrote {args.input} ({len(data)} bytes)")
     return EXIT_OK
 
 
+# command -> (handler, exit code of an expected failure)
 _COMMANDS = {
-    "prepare": _cmd_prepare,
-    "run": _cmd_run,
-    "compare": _cmd_compare,
-    "fetch": _cmd_fetch,
+    "prepare": (_cmd_prepare, EXIT_INPUT),
+    "run": (_cmd_run, EXIT_MODEL),
+    "compare": (_cmd_compare, EXIT_MISSING_RESULTS),
+    "fetch": (_cmd_fetch, EXIT_INPUT),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    handler, failure_code = _COMMANDS[args.command]
+    try:
+        return handler(args)
+    except (ValueError, OSError) as exc:
+        label = f"run {args.model}" if args.command == "run" else args.command
+        print(f"{label} failed: {exc}", file=sys.stderr)
+        return failure_code
 
 
 if __name__ == "__main__":

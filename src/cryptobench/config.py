@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import Field, asdict, dataclass, fields, replace
+from dataclasses import Field, asdict, dataclass, fields
 from pathlib import Path
 
 __all__ = ["RunConfig", "load_config", "config_hash", "ConfigError", "MODEL_NAMES"]
@@ -108,11 +108,10 @@ def _parse(raw: str, default):
     return type(default)(raw.strip())
 
 
-def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    """Overlay an INI config file on ``base`` (defaults when omitted)."""
+def load_config(path: str | Path) -> RunConfig:
+    """The defaults overlaid with an INI config file."""
     import configparser  # only commands given --config parse INI
 
-    base = base if base is not None else RunConfig()
     parser = configparser.ConfigParser()
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -138,7 +137,7 @@ def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
                 overrides[field.name] = _parse(raw, field.default)
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: {raw!r}") from exc
-    return replace(base, **overrides)
+    return RunConfig(**overrides)
 
 
 def config_hash(cfg: RunConfig) -> str:

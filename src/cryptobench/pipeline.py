@@ -59,7 +59,7 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-class PipelineError(RuntimeError):
+class PipelineError(ValueError):
     pass
 
 
@@ -89,13 +89,31 @@ def _write_json(path: Path, payload: dict):
                     encoding="utf-8")
 
 
-def _read_json(path: Path) -> dict:
+# JSON types of a field, matched exactly: JSON true and false load as
+# bools, and a bool is an int to isinstance
+_STRING, _INTEGER = ((str,), "a string"), ((int,), "an integer")
+_NUMBER, _OBJECT = ((int, float), "a number"), ((dict,), "an object")
+
+
+def _read_json(path: Path, what: str = "artifact", fields: dict | None = None) -> dict:
+    """The JSON object in the ``what`` file ``path``, which must hold each
+    key of ``fields`` with a value of its type (any where it maps to None)."""
     if not path.exists():
         raise MissingArtifactError(f"missing artifact: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise PipelineError(f"unreadable artifact {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise PipelineError(f"malformed {what} {path}: not a JSON object")
+    fields = fields or {}
+    missing = [key for key in fields if key not in payload]
+    if missing:
+        raise PipelineError(f"malformed {what} {path}: missing {', '.join(missing)}")
+    for key, kind in fields.items():
+        if kind and type(payload[key]) not in kind[0]:
+            raise PipelineError(f"malformed {what} {path}: {key} is not {kind[1]}")
+    return payload
 
 
 def _input_path(cfg: RunConfig) -> Path:
@@ -180,7 +198,12 @@ def prepare(cfg: RunConfig) -> dict:
 
 def load_prepared(out_dir: str | Path) -> PreparedData:
     out = Path(out_dir)
-    meta = _read_json(out / "prepare_meta.json")
+    meta_path = out / "prepare_meta.json"
+    meta = _read_json(meta_path, fields={
+        "scaler": _OBJECT, "split_index": _INTEGER, "dataset_fingerprint": _STRING})
+    scaler = meta["scaler"]
+    if not all(type(scaler.get(key)) in _NUMBER[0] for key in ("min", "max")):
+        raise PipelineError(f"malformed artifact {meta_path}: scaler min or max is not a number")
     csv_path = out / "prepared.csv"
     if not csv_path.exists():
         raise MissingArtifactError(f"missing artifact: {csv_path}")
@@ -192,12 +215,11 @@ def load_prepared(out_dir: str | Path) -> PreparedData:
         _, date_text, value_text = line.split(",")
         dates.append(dt.date.fromisoformat(date_text))
         values.append(float(value_text))
-    scaler = ds.ScalerParams(**meta["scaler"])
     return PreparedData(
         dates=dates,
         normalized=np.array(values, dtype=np.float64),
-        scaler=scaler,
-        split_index=int(meta["split_index"]),
+        scaler=ds.ScalerParams(scaler["min"], scaler["max"]),
+        split_index=meta["split_index"],
         fingerprint=meta["dataset_fingerprint"],
     )
 
@@ -411,24 +433,11 @@ def run_model(cfg: RunConfig, name: str) -> dict:
 
 # --- comparison --------------------------------------------------------
 
-# The fields of a ``{model}_result.json`` that ``run_compare`` reads.
-_RESULT_KEYS = ("dataset_fingerprint", "config_hash", "seed", "mse_normalized",
-                "mse_raw", "config_summary", "predictions")
-
-
-def _read_result(path: Path) -> dict:
-    payload = _read_json(path)
-    if not isinstance(payload, dict):
-        raise PipelineError(f"malformed result {path}: not a JSON object")
-    missing = [key for key in _RESULT_KEYS if key not in payload]
-    if missing:
-        raise PipelineError(f"malformed result {path}: missing {', '.join(missing)}")
-    for key in ("dataset_fingerprint", "config_hash"):
-        if not isinstance(payload[key], str):
-            raise PipelineError(f"malformed result {path}: {key} is not a string")
-    if not isinstance(payload["seed"], int):
-        raise PipelineError(f"malformed result {path}: seed is not an integer")
-    return payload
+# The fields of a ``{model}_result.json`` that ``run_compare`` reads; it
+# checks the last two as it reads them.
+_RESULT_FIELDS = {"dataset_fingerprint": _STRING, "config_hash": _STRING,
+                  "seed": _INTEGER, "mse_normalized": _NUMBER, "mse_raw": _NUMBER,
+                  "config_summary": None, "predictions": None}
 
 
 def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False,
@@ -445,7 +454,7 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
     for name in models:
         path = out / f"{name}_result.json"
         if path.exists():
-            available[name] = _read_result(path)
+            available[name] = _read_json(path, "result", _RESULT_FIELDS)
         else:
             missing.append(str(path))
     if missing and not subset_ok:

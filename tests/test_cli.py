@@ -18,7 +18,7 @@ import pytest
 import cryptobench
 from cryptobench import cli, pipeline
 from cryptobench.cli import main
-from cryptobench.config import RunConfig, config_hash, load_config
+from cryptobench.config import MODEL_NAMES, RunConfig, config_hash, load_config
 from cryptobench.dataset import make_windows
 from cryptobench import evaluation
 from cryptobench import lstm as lstm_mod
@@ -453,6 +453,23 @@ class TestRun:
         assert main(["run", "poly", "--input", SAMPLE, "--out-dir", out]) == 3
         assert "rerun prepare" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, damage", [
+        ("poly_degrees.csv", lambda path: (path.unlink(), path.mkdir())),
+        ("prepare_meta.json", lambda path: path.write_text(json.dumps(
+            {k: v for k, v in json.loads(path.read_text()).items() if k != "scaler"}))),
+        ("prepare_meta.json", lambda path: path.write_text(json.dumps(
+            json.loads(path.read_text()) | {"scaler": {"min": "x", "max": 1.0}}))),
+        ("prepare_meta.json", lambda path: path.write_text("[1]")),
+    ], ids=["table_is_a_directory", "meta_without_scaler", "meta_text_scaler", "meta_list"])
+    def test_broken_artifact_exits_3(self, full_run, tmp_path, capsys, name, damage):
+        copy, args = _private_copy(full_run, tmp_path)
+        path = copy / name
+        damage(path)
+        assert main(["run", "poly", *args]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("run poly failed:"), err
+        assert str(path) in err[0]
+
     def test_poly_fits_each_degree_once(self, tmp_path, monkeypatch):
         out = str(tmp_path / "out")
         assert main(["prepare", "--out-dir", out]) == 0
@@ -647,15 +664,45 @@ class TestCompare:
         lambda payload: {k: v for k, v in payload.items() if k != "mse_raw"},
         lambda payload: payload | {"mse_normalized": -1},
         lambda payload: payload | {"dataset_fingerprint": ["x"]},
-    ], ids=["empty_object", "list", "missing_mse_raw", "negative_mse", "list_fingerprint"])
+        # JSON true loads as a bool, which is an int to isinstance
+        lambda payload: payload | {"seed": True},
+        lambda payload: payload | {"mse_normalized": True},
+        lambda payload: payload | {"mse_raw": True},
+    ], ids=["empty_object", "list", "missing_mse_raw", "negative_mse", "list_fingerprint",
+            "bool_seed", "bool_mse_normalized", "bool_mse_raw"])
     def test_malformed_result_exits_4(self, full_run, tmp_path, capsys, edit):
         copy, args = _private_copy(full_run, tmp_path)
         path = copy / "svr_result.json"
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert main(["compare", *args]) == 4
-        err = capsys.readouterr().err
-        assert str(path) in err and "Traceback" not in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("compare failed:"), err
+        assert str(path) in err[0]
         assert not (copy / "report.json").exists()
+
+    def test_bool_seed_in_every_result_exits_4(self, full_run, tmp_path, capsys):
+        # the results agree, so only the type check stands between them and
+        # a report stamped seed=True
+        copy, _ = _private_copy(full_run, tmp_path)
+        for name in MODEL_NAMES:
+            path = copy / f"{name}_result.json"
+            path.write_text(json.dumps(json.loads(path.read_text()) | {"seed": True}))
+        assert main(["compare", "--out-dir", str(copy)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("compare failed:"), err
+        assert "seed is not an integer" in err[0]
+        assert not (copy / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("name", ["report.json", "poly_result.json"])
+    def test_file_that_is_a_directory_exits_4(self, full_run, tmp_path, capsys, name):
+        copy, args = _private_copy(full_run, tmp_path)
+        path = copy / name
+        path.unlink(missing_ok=True)
+        path.mkdir()
+        assert main(["compare", *args, "--subset-ok"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("compare failed:"), err
+        assert str(path) in err[0]
 
     def test_report_carries_the_results_hash_and_seed(self, tmp_path):
         # made with seed 7, compared without --config or --seed
@@ -693,7 +740,7 @@ class TestCompare:
     def test_unknown_model_name(self, full_run, capsys):
         _, base = full_run
         assert main(["compare", *base, "--models", "arima"]) == 4
-        assert "unknown models" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == ["compare failed: unknown models: arima"]
 
 
 class TestDeterminism:
