@@ -6,6 +6,10 @@ case-insensitive).  Dates are either DD/MM/YYYY or ISO YYYY-MM-DD; a
 single file must stick to one format.  Rows with empty or unparseable
 numeric fields are kept by the parser and flagged missing; ``clean``
 drops them in a separate step so row accounting stays explicit.
+
+Every failure here raises ``DatasetError``, a ``ValueError``; a parse
+error names the CSV record at fault.  ``DataWarning`` flags data that
+is suspicious but kept.
 """
 
 from __future__ import annotations
@@ -26,15 +30,6 @@ __all__ = [
     "ScalerParams",
     "WindowedDataset",
     "DatasetError",
-    "MissingHeaderError",
-    "UnknownColumnError",
-    "UnparseableDateError",
-    "InvalidRecordError",
-    "NonMonotonicDatesError",
-    "EmptyAfterCleanError",
-    "DegenerateRangeError",
-    "EmptySplitError",
-    "SeriesTooShortError",
     "DataWarning",
     "COLUMNS",
     "parse_csv",
@@ -49,43 +44,7 @@ __all__ = [
 
 
 class DatasetError(ValueError):
-    """Base class for ingestion and preprocessing failures."""
-
-
-class MissingHeaderError(DatasetError):
-    pass
-
-
-class UnknownColumnError(DatasetError):
-    pass
-
-
-class UnparseableDateError(DatasetError):
-    pass
-
-
-class InvalidRecordError(DatasetError):
-    pass
-
-
-class NonMonotonicDatesError(DatasetError):
-    pass
-
-
-class EmptyAfterCleanError(DatasetError):
-    pass
-
-
-class DegenerateRangeError(DatasetError):
-    pass
-
-
-class EmptySplitError(DatasetError):
-    pass
-
-
-class SeriesTooShortError(DatasetError):
-    pass
+    """An ingestion or preprocessing failure."""
 
 
 class DataWarning(UserWarning):
@@ -118,15 +77,15 @@ class OhlcvRecord:
         for name in _PRICE_FIELDS:
             value = getattr(self, name)
             if value is not None and (not math.isfinite(value) or value <= 0.0):
-                raise InvalidRecordError(
+                raise DatasetError(
                     f"{self.date}: {name} must be a positive finite price, got {value!r}"
                 )
         if self.volume is not None and (not math.isfinite(self.volume) or self.volume < 0.0):
-            raise InvalidRecordError(
+            raise DatasetError(
                 f"{self.date}: volume must be non-negative, got {self.volume!r}"
             )
         if self.low is not None and self.high is not None and self.low > self.high:
-            raise InvalidRecordError(
+            raise DatasetError(
                 f"{self.date}: low {self.low} exceeds high {self.high}"
             )
         for name in ("open", "close"):
@@ -156,7 +115,7 @@ class PriceSeries:
     def __post_init__(self):
         for prev, cur in zip(self.records, self.records[1:]):
             if cur.date <= prev.date:
-                raise NonMonotonicDatesError(
+                raise DatasetError(
                     f"dates must strictly increase: {prev.date} followed by {cur.date}"
                 )
 
@@ -188,9 +147,9 @@ class ScalerParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise DegenerateRangeError("scaler bounds must be finite")
+            raise DatasetError("scaler bounds must be finite")
         if self.max <= self.min:
-            raise DegenerateRangeError(
+            raise DatasetError(
                 f"scaler needs max > min, got min={self.min} max={self.max}"
             )
 
@@ -210,7 +169,7 @@ class WindowedDataset:
 
     def __post_init__(self):
         if self.inputs.shape != (len(self.targets), self.window):
-            raise ValueError(
+            raise DatasetError(
                 f"inputs shape {self.inputs.shape} inconsistent with "
                 f"{len(self.targets)} targets and window {self.window}"
             )
@@ -228,13 +187,13 @@ def _parse_header(row: Sequence[str]) -> dict[str, int]:
     mapping: dict[str, int] = {}
     for idx, name in enumerate(names):
         if name not in COLUMNS:
-            raise UnknownColumnError(f"unknown column {row[idx]!r} in header")
+            raise DatasetError(f"unknown column {row[idx]!r} in header")
         if name in mapping:
-            raise UnknownColumnError(f"duplicate column {row[idx]!r} in header")
+            raise DatasetError(f"duplicate column {row[idx]!r} in header")
         mapping[name] = idx
     missing = [c for c in COLUMNS if c not in mapping]
     if missing:
-        raise MissingHeaderError(f"header is missing columns: {', '.join(missing)}")
+        raise DatasetError(f"header is missing columns: {', '.join(missing)}")
     return mapping
 
 
@@ -271,14 +230,14 @@ def _parse_number(cell: str) -> float | None:
 def _rows(reader):
     """The reader's records, numbered from 1, blank ones included; a
     record the csv module rejects (say, a field over its size limit)
-    raises InvalidRecordError naming its number instead of ``csv.Error``.
+    raises DatasetError naming its number instead of ``csv.Error``.
     A quoted field may span lines, so a number can be below the line's."""
     row_no = 0
     try:
         for row_no, row in enumerate(reader, 1):
             yield row_no, row
     except csv.Error as exc:
-        raise InvalidRecordError(f"row {row_no + 1}: {exc}") from exc
+        raise DatasetError(f"row {row_no + 1}: {exc}") from exc
 
 
 def parse_csv(source: str | Iterable[str]) -> PriceSeries:
@@ -306,24 +265,24 @@ def parse_csv(source: str | Iterable[str]) -> PriceSeries:
             continue
 
         if len(row) != len(COLUMNS):
-            raise InvalidRecordError(
+            raise DatasetError(
                 f"row {row_no}: expected {len(COLUMNS)} fields, got {len(row)}"
             )
 
         raw_date = row[header_map["date"]].strip()
         fmt = _detect_date_format(raw_date)
         if fmt is None:
-            raise UnparseableDateError(f"row {row_no}: cannot parse date {raw_date!r}")
+            raise DatasetError(f"row {row_no}: cannot parse date {raw_date!r}")
         if date_format is None:
             date_format = fmt
         elif fmt != date_format:
-            raise UnparseableDateError(
+            raise DatasetError(
                 f"row {row_no}: date {raw_date!r} mixes formats within one file"
             )
         try:
             date = _parse_date(raw_date, fmt)
         except ValueError as exc:
-            raise UnparseableDateError(f"row {row_no}: cannot parse date {raw_date!r}") from exc
+            raise DatasetError(f"row {row_no}: cannot parse date {raw_date!r}") from exc
 
         try:
             record = OhlcvRecord(
@@ -335,12 +294,12 @@ def parse_csv(source: str | Iterable[str]) -> PriceSeries:
                 adj_close=_parse_number(row[header_map["adj close"]]),
                 volume=_parse_number(row[header_map["volume"]]),
             )
-        except InvalidRecordError as exc:
-            raise InvalidRecordError(f"row {row_no}: {exc}") from exc
+        except DatasetError as exc:
+            raise DatasetError(f"row {row_no}: {exc}") from exc
         records.append(record)
 
     if header_map is None:
-        raise MissingHeaderError("input has no header row")
+        raise DatasetError("input has no header row")
     return PriceSeries(tuple(records))
 
 
@@ -348,14 +307,14 @@ def clean(series: PriceSeries) -> PriceSeries:
     """Drop every record with a missing field, preserving order."""
     kept = tuple(r for r in series if not r.has_missing)
     if not kept:
-        raise EmptyAfterCleanError("no records left after dropping missing fields")
+        raise DatasetError("no records left after dropping missing fields")
     return PriceSeries(kept)
 
 
 def column_values(series: PriceSeries, column: str = "close") -> np.ndarray:
     """Extract one numeric column as float64, with NaN for missing."""
     if column not in _PRICE_FIELDS + ("volume",):
-        raise UnknownColumnError(f"no such value column: {column!r}")
+        raise DatasetError(f"no such value column: {column!r}")
     values = [getattr(r, column) for r in series]
     return np.array([math.nan if v is None else v for v in values], dtype=np.float64)
 
@@ -364,13 +323,13 @@ def fit_scaler(values) -> ScalerParams:
     """Fit min-max bounds.  Call with training values only."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
-        raise DegenerateRangeError("cannot fit a scaler on no values")
+        raise DatasetError("cannot fit a scaler on no values")
     if not np.all(np.isfinite(arr)):
-        raise DegenerateRangeError("scaler input contains non-finite values")
+        raise DatasetError("scaler input contains non-finite values")
     lo = float(arr.min())
     hi = float(arr.max())
     if hi == lo:
-        raise DegenerateRangeError(f"all values equal {lo}; range is degenerate")
+        raise DatasetError(f"all values equal {lo}; range is degenerate")
     return ScalerParams(min=lo, max=hi)
 
 
@@ -391,13 +350,13 @@ def chronological_split(
 ) -> tuple[PriceSeries, PriceSeries]:
     """First floor(n * fraction) records become train, the rest test."""
     if not (0.0 < train_fraction < 1.0):
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+        raise DatasetError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n = len(series)
     if n == 0:
-        raise EmptySplitError("cannot split an empty series")
+        raise DatasetError("cannot split an empty series")
     cut = int(math.floor(n * train_fraction))
     if cut == 0 or cut == n:
-        raise EmptySplitError(
+        raise DatasetError(
             f"split at {cut}/{n} leaves one side empty (fraction {train_fraction})"
         )
     return PriceSeries(series.records[:cut]), PriceSeries(series.records[cut:])
@@ -408,11 +367,11 @@ def make_windows(values, window: int) -> WindowedDataset:
     after each window is its target."""
     arr = np.asarray(values, dtype=np.float64)
     if window < 1:
-        raise ValueError(f"window must be positive, got {window}")
+        raise DatasetError(f"window must be positive, got {window}")
     if arr.ndim != 1:
-        raise ValueError("make_windows expects a 1-D value sequence")
+        raise DatasetError("make_windows expects a 1-D value sequence")
     if arr.size <= window:
-        raise SeriesTooShortError(
+        raise DatasetError(
             f"need more than {window} values to build windows, got {arr.size}"
         )
     view = np.lib.stride_tricks.sliding_window_view(arr, window)

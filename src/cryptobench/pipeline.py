@@ -43,8 +43,6 @@ from . import evaluation
 
 __all__ = [
     "PipelineError",
-    "MissingArtifactError",
-    "MismatchedResultsError",
     "PreparedData",
     "prepare",
     "run_model",
@@ -60,15 +58,8 @@ FORMAT_VERSION = 1
 
 
 class PipelineError(ValueError):
-    pass
-
-
-class MissingArtifactError(PipelineError):
-    pass
-
-
-class MismatchedResultsError(PipelineError):
-    """Result files to compare come from different datasets or configs."""
+    """An input that is not UTF-8 text, a missing, malformed or mismatched
+    artifact, or an unknown model."""
 
 
 def _fmt(value) -> str:
@@ -93,19 +84,28 @@ def _write_json(path: Path, payload: dict):
 # bools, and a bool is an int to isinstance
 _STRING, _INTEGER = ((str,), "a string"), ((int,), "an integer")
 _NUMBER, _OBJECT = ((int, float), "a number"), ((dict,), "an object")
+_ARRAY, _BOOLEAN = ((list,), "an array"), ((bool,), "a boolean")
+
+# the model file of each ``kind``, as the loaders name it
+_MODEL_FILES = {"lstm": "an LSTM checkpoint", "svr": "an SVR model file",
+                "poly": "a polynomial model file"}
 
 
-def _read_json(path: Path, what: str = "artifact", fields: dict | None = None) -> dict:
+def _read_json(path: Path, what: str = "artifact", fields: dict | None = None,
+               kind: str | None = None) -> dict:
     """The JSON object in the ``what`` file ``path``, which must hold each
-    key of ``fields`` with a value of its type (any where it maps to None)."""
+    key of ``fields`` with a value of its type (any where it maps to None)
+    and, with ``kind``, be that kind of model file."""
     if not path.exists():
-        raise MissingArtifactError(f"missing artifact: {path}")
+        raise PipelineError(f"missing artifact: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise PipelineError(f"unreadable artifact {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise PipelineError(f"malformed {what} {path}: not a JSON object")
+    if kind and payload.get("kind") != kind:
+        raise PipelineError(f"{path} is not {_MODEL_FILES[kind]}")
     fields = fields or {}
     missing = [key for key in fields if key not in payload]
     if missing:
@@ -149,8 +149,8 @@ def prepare(cfg: RunConfig) -> dict:
         text = raw_bytes.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object starts past any such mark
         offset = exc.start + len(raw_bytes) - len(exc.object)
-        raise ds.DatasetError(f"{path} is not UTF-8 text: byte "
-                              f"0x{raw_bytes[offset]:02x} at offset {offset}") from None
+        raise PipelineError(f"{path} is not UTF-8 text: byte "
+                            f"0x{raw_bytes[offset]:02x} at offset {offset}") from None
     series = ds.parse_csv(text)
     cleaned = ds.clean(series)
     train, test = ds.chronological_split(cleaned, cfg.train_fraction)
@@ -196,25 +196,37 @@ def prepare(cfg: RunConfig) -> dict:
     }
 
 
-def load_prepared(out_dir: str | Path) -> PreparedData:
+def load_prepared(out_dir: str | Path, cfg: RunConfig | None = None) -> PreparedData:
+    """The prepared series in ``out_dir``; with ``cfg``, its target column,
+    train fraction and window must be the ones prepare ran with."""
     out = Path(out_dir)
     meta_path = out / "prepare_meta.json"
     meta = _read_json(meta_path, fields={
         "scaler": _OBJECT, "split_index": _INTEGER, "dataset_fingerprint": _STRING})
+    if cfg is not None:
+        for key in ("target_column", "train_fraction", "window"):
+            if meta.get(key) != getattr(cfg, key):
+                raise PipelineError(
+                    f"prepared artifacts used {key}={meta.get(key)!r} but the current "
+                    f"config says {getattr(cfg, key)!r}; rerun prepare")
     scaler = meta["scaler"]
     if not all(type(scaler.get(key)) in _NUMBER[0] for key in ("min", "max")):
         raise PipelineError(f"malformed artifact {meta_path}: scaler min or max is not a number")
     csv_path = out / "prepared.csv"
     if not csv_path.exists():
-        raise MissingArtifactError(f"missing artifact: {csv_path}")
+        raise PipelineError(f"missing artifact: {csv_path}")
     dates = []
     values = []
-    for line in csv_path.read_text(encoding="utf-8").splitlines():
+    for line_no, line in enumerate(csv_path.read_text(encoding="utf-8").splitlines(), 1):
         if not line or line.startswith("#") or line.startswith("index,"):
             continue
-        _, date_text, value_text = line.split(",")
-        dates.append(dt.date.fromisoformat(date_text))
-        values.append(float(value_text))
+        try:
+            _, date_text, value_text = line.split(",")
+            dates.append(dt.date.fromisoformat(date_text))
+            values.append(float(value_text))
+        except ValueError as exc:
+            raise PipelineError(
+                f"malformed artifact {csv_path}: line {line_no} {line!r}: {exc}") from None
     return PreparedData(
         dates=dates,
         normalized=np.array(values, dtype=np.float64),
@@ -222,17 +234,6 @@ def load_prepared(out_dir: str | Path) -> PreparedData:
         split_index=meta["split_index"],
         fingerprint=meta["dataset_fingerprint"],
     )
-
-
-def _check_prepare_consistency(cfg: RunConfig, out: Path):
-    meta = _read_json(out / "prepare_meta.json")
-    for key, value in (("target_column", cfg.target_column),
-                       ("train_fraction", cfg.train_fraction),
-                       ("window", cfg.window)):
-        if meta.get(key) != value:
-            raise PipelineError(
-                f"prepared artifacts used {key}={meta.get(key)!r} but the current "
-                f"config says {value!r}; rerun prepare")
 
 
 # --- model runs --------------------------------------------------------
@@ -397,10 +398,9 @@ def run_model(cfg: RunConfig, name: str) -> dict:
     """Run one model family's sweep and refit against the prepared
     artifacts, then write its tables, model file and scored result."""
     if name not in _RUNNERS:
-        raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+        raise PipelineError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
     out = Path(cfg.out_dir)
-    _check_prepare_consistency(cfg, out)
-    prepared = load_prepared(out)
+    prepared = load_prepared(out, cfg)
     fit = _RUNNERS[name](cfg, prepared)
 
     stamp = {"format_version": FORMAT_VERSION, "config_hash": config_hash(cfg),
@@ -458,22 +458,22 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
         else:
             missing.append(str(path))
     if missing and not subset_ok:
-        raise MissingArtifactError(
+        raise PipelineError(
             "missing model results: " + ", ".join(missing)
             + " (pass --subset-ok to compare what exists)")
     if not available:
-        raise MissingArtifactError("no model results found to compare")
+        raise PipelineError("no model results found to compare")
     for key in ("dataset_fingerprint", "config_hash", "seed"):
         values = {name: payload[key] for name, payload in available.items()}
         if len(set(values.values())) > 1:
-            raise MismatchedResultsError(
+            raise PipelineError(
                 f"results disagree on {key}: "
                 + ", ".join(f"{name}={value}" for name, value in values.items())
                 + " (rerun the models against one prepare and config)")
     first = next(iter(available.values()))
     cfg_hash, seed = first["config_hash"], first["seed"]
     if expected_hash is not None and expected_hash != cfg_hash:
-        raise MismatchedResultsError(
+        raise PipelineError(
             f"the results were made with config_hash {cfg_hash} but the given "
             f"config and seed hash to {expected_hash}")
 
@@ -494,10 +494,7 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
             raise PipelineError(f"malformed result {path}: {exc!r}") from exc
     report = evaluation.compare(results, dataset_fingerprint=first["dataset_fingerprint"])
 
-    _write_table(out / "comparison.csv", ["model", "mse_normalized", "mse_raw"],
-                 [(r.model_name, r.mse_normalized, r.mse_raw) for r in report.results],
-                 cfg_hash, seed)
-    _write_json(out / "report.json", {
+    summary = {
         "format_version": FORMAT_VERSION,
         "config_hash": cfg_hash,
         "seed": seed,
@@ -512,8 +509,7 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
             }
             for r in report.results
         ],
-    })
-
+    }
     lines = [
         f"model comparison (config {cfg_hash}, seed {seed})",
         f"dataset fingerprint: {report.dataset_fingerprint}",
@@ -523,11 +519,29 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
     for r in report.results:
         lines.append(f"{r.model_name:<12} {r.mse_normalized:>20.10g} {r.mse_raw:>20.10g}")
     lines += ["", f"winner: {report.winner}"]
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    for name, rows in prediction_rows.items():
-        _write_table(out / f"predictions_{name}.csv",
-                     ["date", "actual", "predicted"], rows, cfg_hash, seed)
+    files = [
+        (out / "comparison.csv", _write_table,
+         (["model", "mse_normalized", "mse_raw"],
+          [(r.model_name, r.mse_normalized, r.mse_raw) for r in report.results],
+          cfg_hash, seed)),
+        (out / "report.json", _write_json, (summary,)),
+        (out / "report.txt", Path.write_text, ("\n".join(lines) + "\n", "utf-8")),
+        *((out / f"predictions_{name}.csv", _write_table,
+           (["date", "actual", "predicted"], rows, cfg_hash, seed))
+          for name, rows in prediction_rows.items()),
+    ]
+    # a compare that fails part-way removes what it wrote, so it leaves
+    # none of its files
+    written = []
+    try:
+        for path, write, args in files:
+            written.append(path)
+            write(path, *args)
+    except BaseException:
+        for path in written:
+            if path.is_file():
+                path.unlink()
+        raise
     return report
 
 
@@ -537,30 +551,27 @@ def load_lstm_checkpoint(path: str | Path):
     """Rebuild (LstmParams, metadata) from a checkpoint file, bit-exact."""
     from . import lstm as lstm_mod
 
-    payload = _read_json(Path(path))
-    if payload.get("kind") != "lstm":
-        raise PipelineError(f"{path} is not an LSTM checkpoint")
+    payload = _read_json(Path(path), "model file", {"params": _OBJECT}, "lstm")
     return lstm_mod.LstmParams.from_fields(payload["params"]), payload
 
 
 def load_svr_model(path: str | Path):
     from . import svr as svr_mod
 
-    payload = _read_json(Path(path))
-    if payload.get("kind") != "svr":
-        raise PipelineError(f"{path} is not an SVR model file")
-    spec = svr_mod.KernelSpec(**payload["kernel"])
-    n_features = int(payload.get("n_features", 1))
+    payload = _read_json(Path(path), "model file", {
+        "kernel": _OBJECT, "n_features": _INTEGER, "support_vectors": _ARRAY,
+        "dual_coefs": _ARRAY, "bias": _NUMBER, "converged": _BOOLEAN,
+        "n_iter": _INTEGER, "kkt_violation": _NUMBER}, "svr")
     sv = np.array(payload["support_vectors"], dtype=np.float64)
-    sv = sv.reshape(len(payload["dual_coefs"]), n_features)
+    sv = sv.reshape(len(payload["dual_coefs"]), payload["n_features"])
     model = svr_mod.SvrModel(
         support_vectors=sv,
         dual_coefs=np.array(payload["dual_coefs"], dtype=np.float64),
         bias=float(payload["bias"]),
-        kernel=spec,
-        converged=bool(payload.get("converged", True)),
-        n_iter=int(payload.get("n_iter", 0)),
-        kkt_violation=float(payload.get("kkt_violation", 0.0)),
+        kernel=svr_mod.KernelSpec(**payload["kernel"]),
+        converged=payload["converged"],
+        n_iter=payload["n_iter"],
+        kkt_violation=float(payload["kkt_violation"]),
     )
     return model, payload
 
@@ -568,11 +579,11 @@ def load_svr_model(path: str | Path):
 def load_poly_model(path: str | Path):
     from . import polyreg
 
-    payload = _read_json(Path(path))
-    if payload.get("kind") != "poly":
-        raise PipelineError(f"{path} is not a polynomial model file")
+    payload = _read_json(Path(path), "model file", {
+        "degree": _INTEGER, "intercept": _NUMBER, "coefficients": _ARRAY,
+        "feature_scale": _ARRAY}, "poly")
     model = polyreg.PolyModel(
-        degree=int(payload["degree"]),
+        degree=payload["degree"],
         intercept=float(payload["intercept"]),
         coefficients=np.array(payload["coefficients"], dtype=np.float64),
         feature_scale=tuple(payload["feature_scale"]),

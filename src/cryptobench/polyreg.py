@@ -22,20 +22,10 @@ from .evaluation import mse
 __all__ = [
     "PolyModel",
     "DegreeSweep",
-    "RankDeficientError",
-    "InvalidDegreeError",
     "fit",
     "predict",
     "degree_sweep",
 ]
-
-
-class RankDeficientError(ValueError):
-    pass
-
-
-class InvalidDegreeError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -80,13 +70,13 @@ def _design_matrix(x_scaled: np.ndarray, degree: int) -> np.ndarray:
 def fit(xs, ys, degree: int) -> PolyModel:
     """Least-squares polynomial of the given degree."""
     if degree < 1:
-        raise InvalidDegreeError(f"degree must be >= 1, got {degree}")
+        raise ValueError(f"degree must be >= 1, got {degree}")
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("xs and ys must be 1-D arrays of equal length")
     if np.unique(xs).size < degree + 1:
-        raise RankDeficientError(
+        raise ValueError(
             f"degree {degree} needs at least {degree + 1} distinct inputs, "
             f"got {np.unique(xs).size}")
 
@@ -101,7 +91,7 @@ def fit(xs, ys, degree: int) -> PolyModel:
     y_mean = float(ys.mean())
     coefs, _, rank, _ = np.linalg.lstsq(design - col_means, ys - y_mean, rcond=None)
     if rank < degree:
-        raise RankDeficientError(
+        raise ValueError(
             f"design matrix rank {rank} < degree {degree}; inputs are degenerate")
     intercept = y_mean - float(col_means @ coefs)
     return PolyModel(degree=degree, intercept=intercept, coefficients=coefs,

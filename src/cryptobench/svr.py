@@ -31,7 +31,6 @@ __all__ = [
     "GridCell",
     "SvrGrid",
     "ConvergenceWarning",
-    "TooFewSamplesError",
     "kernel_eval",
     "gram_matrix",
     "fit",
@@ -45,10 +44,6 @@ KERNEL_KINDS = ("linear", "rbf", "sigmoid")
 
 class ConvergenceWarning(UserWarning):
     """SMO hit its iteration cap; the returned model is the best iterate."""
-
-
-class TooFewSamplesError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -486,10 +481,10 @@ def grid_search(
     if k < 2:
         raise ValueError(f"cross-validation needs k >= 2, got {k}")
     if n < k:
-        raise TooFewSamplesError(f"{n} samples cannot fill {k} folds")
+        raise ValueError(f"{n} samples cannot fill {k} folds")
     bounds = _fold_bounds(n, k)
     if n - max(stop - start for start, stop in bounds) < 2:
-        raise TooFewSamplesError(
+        raise ValueError(
             f"{n} samples leave fewer than 2 training points per {k}-fold split")
     fits: dict[tuple, SvrConfig] = {}
     cell_keys: list[tuple[str, float, float, tuple]] = []

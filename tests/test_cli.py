@@ -1,10 +1,13 @@
 import dataclasses
 import datetime
 import http.server
+import importlib
 import io
 import json
 import multiprocessing
 import os
+import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -460,7 +463,9 @@ class TestRun:
         ("prepare_meta.json", lambda path: path.write_text(json.dumps(
             json.loads(path.read_text()) | {"scaler": {"min": "x", "max": 1.0}}))),
         ("prepare_meta.json", lambda path: path.write_text("[1]")),
-    ], ids=["table_is_a_directory", "meta_without_scaler", "meta_text_scaler", "meta_list"])
+        ("prepared.csv", lambda path: path.write_text(path.read_text() + "0,2024-01-01\n")),
+    ], ids=["table_is_a_directory", "meta_without_scaler", "meta_text_scaler", "meta_list",
+            "prepared_short_row"])
     def test_broken_artifact_exits_3(self, full_run, tmp_path, capsys, name, damage):
         copy, args = _private_copy(full_run, tmp_path)
         path = copy / name
@@ -572,14 +577,31 @@ class TestCheckpointRoundTrips:
         stored = [p["predicted"] for p in result["predictions"]]
         np.testing.assert_array_equal(preds_raw, stored)
 
-    def test_svr_model_without_diagnostics_loads(self, full_run, tmp_path):
+    def test_svr_model_without_diagnostics_is_refused(self, full_run, tmp_path):
         out, _ = full_run
         payload = json.loads((Path(out) / "svr_model.json").read_text())
         del payload["n_iter"], payload["kkt_violation"]
         path = tmp_path / "svr_model.json"
         path.write_text(json.dumps(payload))
-        model, _ = pipeline.load_svr_model(path)
-        assert model.n_iter == 0 and model.kkt_violation == 0.0
+        with pytest.raises(pipeline.PipelineError, match=(
+                f"^malformed model file {re.escape(str(path))}: missing n_iter, kkt_violation$")):
+            pipeline.load_svr_model(path)
+
+    @pytest.mark.parametrize("name, key, value, kind", [
+        ("lstm", "params", [], "an object"),
+        ("svr", "converged", 1, "a boolean"),
+        ("poly", "degree", 3.0, "an integer"),
+    ], ids=MODEL_NAMES)
+    def test_mistyped_model_field_is_refused(self, full_run, tmp_path, name, key, value, kind):
+        out, _ = full_run
+        payload = json.loads((Path(out) / f"{name}_model.json").read_text())
+        path = tmp_path / f"{name}_model.json"
+        path.write_text(json.dumps(payload | {key: value}))
+        loader = {"lstm": pipeline.load_lstm_checkpoint, "svr": pipeline.load_svr_model,
+                  "poly": pipeline.load_poly_model}[name]
+        with pytest.raises(pipeline.PipelineError, match=(
+                f"^malformed model file {re.escape(str(path))}: {key} is not {kind}$")):
+            loader(path)
 
     def test_poly_model_reproduces_predictions(self, full_run):
         out, _ = full_run
@@ -703,6 +725,7 @@ class TestCompare:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("compare failed:"), err
         assert str(path) in err[0]
+        assert not (copy / "comparison.csv").exists()
 
     def test_report_carries_the_results_hash_and_seed(self, tmp_path):
         # made with seed 7, compared without --config or --seed
@@ -847,3 +870,21 @@ class TestImportGraph:
         assert code == 0
         assert "cryptobench.evaluation" in loaded
         assert not loaded & FAMILIES
+
+
+class TestErrorTypes:
+    def test_three_errors_and_two_warnings(self):
+        # each module raises one error type; nothing tells finer kinds apart
+        defined = {}
+        for info in pkgutil.iter_modules(cryptobench.__path__):
+            module = importlib.import_module(f"cryptobench.{info.name}")
+            defined |= {name: obj for name, obj in vars(module).items()
+                        if isinstance(obj, type) and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__}
+        assert {name: obj.__bases__ for name, obj in defined.items()} == {
+            "ConfigError": (ValueError,),
+            "DatasetError": (ValueError,),
+            "PipelineError": (ValueError,),
+            "DataWarning": (UserWarning,),
+            "ConvergenceWarning": (UserWarning,),
+        }

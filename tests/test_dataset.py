@@ -5,19 +5,11 @@ import pytest
 
 from cryptobench import dataset
 from cryptobench.dataset import (
+    DatasetError,
     DataWarning,
-    DegenerateRangeError,
-    EmptyAfterCleanError,
-    EmptySplitError,
-    InvalidRecordError,
-    MissingHeaderError,
-    NonMonotonicDatesError,
     OhlcvRecord,
     PriceSeries,
     ScalerParams,
-    SeriesTooShortError,
-    UnknownColumnError,
-    UnparseableDateError,
 )
 
 HEADER = "Date,Open,High,Low,Close,Adj Close,Volume\n"
@@ -80,20 +72,20 @@ class TestParseCsv:
         assert series.dates == [dt.date(2020, 1, 10), dt.date(2020, 1, 11)]
 
     def test_missing_header_column(self):
-        with pytest.raises(MissingHeaderError, match="volume"):
+        with pytest.raises(DatasetError, match="^header is missing columns: volume$"):
             dataset.parse_csv("Date,Open,High,Low,Close,Adj Close\n")
 
     def test_no_header_at_all(self):
-        with pytest.raises(MissingHeaderError):
+        with pytest.raises(DatasetError, match="^input has no header row$"):
             dataset.parse_csv("")
 
     def test_unknown_column(self):
-        with pytest.raises(UnknownColumnError, match="Ticker"):
+        with pytest.raises(DatasetError, match="^unknown column 'Ticker' in header$"):
             dataset.parse_csv("Date,Open,High,Low,Close,Adj Close,Volume,Ticker\n")
 
     def test_unparseable_date_reports_row(self):
         text = HEADER + "10/01/2020,9,10,8,9,9,100\nnot-a-date,9,10,8,9,9,100\n"
-        with pytest.raises(UnparseableDateError, match="row 3"):
+        with pytest.raises(DatasetError, match="^row 3: cannot parse date 'not-a-date'$"):
             dataset.parse_csv(text)
 
     @pytest.mark.parametrize("text, expected", [
@@ -112,44 +104,44 @@ class TestParseCsv:
     def test_date_table(self, text, expected):
         csv_text = HEADER + f"{text},9,10,8,9,9,100\n"
         if expected is None:
-            with pytest.raises(UnparseableDateError, match=f"^row 2: cannot parse date '{text}'$"):
+            with pytest.raises(DatasetError, match=f"^row 2: cannot parse date '{text}'$"):
                 dataset.parse_csv(csv_text)
         else:
             assert dataset.parse_csv(csv_text).dates == [expected]
 
-    @pytest.mark.parametrize("last, error", [
-        ("not-a-date,9,10,8,9,9,100", UnparseableDateError),
-        ("x" * 131_073, InvalidRecordError),
+    @pytest.mark.parametrize("last, message", [
+        ("not-a-date,9,10,8,9,9,100", "cannot parse date 'not-a-date'"),
+        ("x" * 131_073, "field larger than field limit"),
     ], ids=["bad_date", "oversized_field"])
-    def test_one_row_number_after_a_multiline_field(self, last, error):
+    def test_one_row_number_after_a_multiline_field(self, last, message):
         # the quoted volume spans two lines, so the last record is row 3 on line 4
         text = HEADER + '10/01/2020,9,10,8,9,9,"1\n00"\n' + last + "\n"
-        with pytest.raises(error, match="^row 3: "):
+        with pytest.raises(DatasetError, match=f"^row 3: {message}"):
             dataset.parse_csv(text)
 
     def test_mixed_date_formats_rejected(self):
         text = HEADER + "10/01/2020,9,10,8,9,9,100\n2020-01-11,9,10,8,9,9,100\n"
-        with pytest.raises(UnparseableDateError, match="mixes formats"):
+        with pytest.raises(DatasetError, match="^row 3: date '2020-01-11' mixes formats within one file$"):
             dataset.parse_csv(text)
 
     def test_non_monotonic_dates(self):
         text = HEADER + "11/01/2020,9,10,8,9,9,100\n10/01/2020,9,10,8,9,9,100\n"
-        with pytest.raises(NonMonotonicDatesError):
+        with pytest.raises(DatasetError, match="^dates must strictly increase: 2020-01-11 followed by 2020-01-10$"):
             dataset.parse_csv(text)
 
     def test_low_above_high_is_hard_error(self):
         text = HEADER + "10/01/2020,9,8,10,9,9,100\n"
-        with pytest.raises(InvalidRecordError, match="row 2"):
+        with pytest.raises(DatasetError, match="^row 2: 2020-01-10: low 10.0 exceeds high 8.0$"):
             dataset.parse_csv(text)
 
     def test_field_over_csv_limit_is_hard_error(self):
         text = HEADER + "10/01/2020,9,10,8,9,9,100\n" + "x" * 131_073 + "\n"
-        with pytest.raises(InvalidRecordError, match="row 3: field larger than field limit"):
+        with pytest.raises(DatasetError, match="^row 3: field larger than field limit"):
             dataset.parse_csv(text)
 
     def test_negative_price_is_hard_error(self):
         text = HEADER + "10/01/2020,-9,10,8,9,9,100\n"
-        with pytest.raises(InvalidRecordError):
+        with pytest.raises(DatasetError, match="^row 2: 2020-01-10: open must be a positive finite price, got -9.0$"):
             dataset.parse_csv(text)
 
     def test_close_outside_range_warns_only(self):
@@ -180,7 +172,7 @@ class TestClean:
 
     def test_all_missing_raises(self):
         series = PriceSeries(tuple(make_record(d, volume=None) for d in range(1, 4)))
-        with pytest.raises(EmptyAfterCleanError):
+        with pytest.raises(DatasetError, match="^no records left after dropping missing fields$"):
             dataset.clean(series)
 
 
@@ -191,15 +183,15 @@ class TestScaler:
         assert params.max == 6.0
 
     def test_constant_values_degenerate(self):
-        with pytest.raises(DegenerateRangeError):
+        with pytest.raises(DatasetError, match="^all values equal 5.0; range is degenerate$"):
             dataset.fit_scaler([5.0, 5.0, 5.0])
 
     def test_single_value_degenerate(self):
-        with pytest.raises(DegenerateRangeError):
+        with pytest.raises(DatasetError, match="^all values equal 3.0; range is degenerate$"):
             dataset.fit_scaler([3.0])
 
     def test_direct_construction_validates(self):
-        with pytest.raises(DegenerateRangeError):
+        with pytest.raises(DatasetError, match="^scaler needs max > min, got min=4.0 max=4.0$"):
             ScalerParams(min=4.0, max=4.0)
 
     def test_scale_values(self):
@@ -237,7 +229,7 @@ class TestSplit:
         assert (len(train), len(test)) == (8, 3)
 
     def test_single_record_raises(self):
-        with pytest.raises(EmptySplitError):
+        with pytest.raises(DatasetError, match=r"^split at 0/1 leaves one side empty \(fraction 0.8\)$"):
             dataset.chronological_split(self._series(1), 0.8)
 
     def test_bad_fraction(self):
@@ -263,7 +255,7 @@ class TestMakeWindows:
         np.testing.assert_array_equal(ds.inputs, [[1, 2]])
 
     def test_too_short(self):
-        with pytest.raises(SeriesTooShortError):
+        with pytest.raises(DatasetError, match="^need more than 2 values to build windows, got 2$"):
             dataset.make_windows([1.0, 2.0], 2)
 
     def test_targets_reproduce_tail(self):

@@ -11,7 +11,6 @@ from cryptobench.svr import (
     KernelSpec,
     SvrConfig,
     SvrModel,
-    TooFewSamplesError,
     dual_objective,
     fit,
     grid_search,
@@ -524,7 +523,7 @@ class TestGridSearch:
         assert grid.best_index == 0
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamplesError):
+        with pytest.raises(ValueError, match="^3 samples cannot fill 5 folds$"):
             grid_search(np.ones((3, 1)), np.ones(3), ("linear",), (0.1,), (1.0,), k=5)
 
 
