@@ -15,9 +15,7 @@ contiguous 3H-row block, tanh runs on the last H rows, and a batch of B
 windows keeps z_t as (H+D+1, B) columns: a step is one product W . z_t,
 and the reverse pass accumulates the gradient of W as one product per
 step.  W is stored as it is multiplied, as the head of the flat
-parameter vector (``LstmParams``).  Everything runs in float64 numpy; the
-per-sample operations (``cell_forward``, ``sequence_forward``,
-``bptt_gradients``) run the same code with B = 1.
+parameter vector (``LstmParams``).  Everything runs in float64 numpy.
 
 ``epoch_grid`` is the one training entry point: mini-batch Adam over the
 training windows in time order (no shuffling), one Adam step per batch,
@@ -29,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,16 +37,11 @@ from .evaluation import mse
 
 __all__ = [
     "LstmParams",
-    "LstmState",
-    "GateCache",
     "AdamState",
     "TrainRecord",
     "Snapshot",
     "LstmConfig",
     "init_params",
-    "cell_forward",
-    "sequence_forward",
-    "bptt_gradients",
     "adam_step",
     "epoch_grid",
     "predict_batch",
@@ -159,44 +152,17 @@ class LstmParams:
 
 
 @dataclass
-class LstmState:
-    """Hidden and cell state vectors, both length H."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden_size: int) -> "LstmState":
-        return cls(h=np.zeros(hidden_size), c=np.zeros(hidden_size))
-
-
-@dataclass
-class GateCache:
-    """Per-step activations needed by the reverse pass."""
-
-    input_gate: np.ndarray
-    forget_gate: np.ndarray
-    candidate: np.ndarray
-    output_gate: np.ndarray
-    cell: np.ndarray
-
-
-@dataclass
 class AdamState:
-    """Adam moment accumulators over the flattened parameter vector."""
+    """Adam moment accumulators over the flattened parameter vector and
+    the step count; the constants are ``LstmConfig``'s."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def fresh(cls, n_params: int, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params), t=0,
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def fresh(cls, n_params: int) -> "AdamState":
+        return cls(m=np.zeros(n_params), v=np.zeros(n_params), t=0)
 
 
 @dataclass(frozen=True)
@@ -351,73 +317,24 @@ def _time_major(inputs) -> np.ndarray:
     return np.ascontiguousarray(xs.transpose(1, 0, 2))
 
 
-def _as_sequence(window, input_dim: int) -> np.ndarray:
-    """Coerce one window of scalars (or a (T, D) array) to a (T, 1, D) batch."""
-    xs = np.asarray(window, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
-    if xs.ndim != 2:
-        raise ValueError("window must be 1-D scalars or a (T, D) array")
-    if xs.shape[0] == 0:
-        raise ValueError("window must not be empty")
-    if xs.shape[1] != input_dim:
-        raise ValueError(f"window feature dim {xs.shape[1]} != input_dim {input_dim}")
-    return xs[:, np.newaxis, :]
-
-
-def _gate_cache(act: np.ndarray, c: np.ndarray, h: int) -> GateCache:
-    i, f, o, g = _gates(act[:, 0], h)
-    return GateCache(input_gate=i, forget_gate=f, candidate=g,
-                     output_gate=o, cell=c[:, 0])
-
-
-def cell_forward(
-    x_t: np.ndarray, state: LstmState, params: LstmParams
-) -> tuple[LstmState, GateCache]:
-    """One recurrence step; the cache holds i, f, candidate, o and C_t."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.shape != (params.input_dim,):
-        raise ValueError(
-            f"x_t shape {x_t.shape} does not match input_dim {params.input_dim}"
-        )
-    if state.h.shape != (params.hidden_size,) or state.c.shape != (params.hidden_size,):
-        raise ValueError("state shapes do not match hidden_size")
-    z_t = np.concatenate((state.h, x_t, [1.0]))[:, np.newaxis]
-    h = np.empty_like(state.h)
-    act, c, _ = _step(params.w, z_t, state.c[:, np.newaxis], h[:, np.newaxis])
-    return LstmState(h=h, c=c[:, 0]), _gate_cache(act, c, params.hidden_size)
-
-
-def sequence_forward(window, params: LstmParams) -> tuple[float, list[GateCache]]:
-    """Unroll the cell over the window from a zero state and apply the head."""
-    xs = _as_sequence(window, params.input_dim)
-    pred, (_, acts, _, cs) = _unroll(xs, params, keep=True)
-    caches = [_gate_cache(act, c, params.hidden_size) for act, c in zip(acts, cs[1:])]
-    return float(pred[0]), caches
-
-
-def bptt_gradients(window, target: float, params: LstmParams) -> LstmParams:
-    """Exact gradient of (prediction - target)^2 w.r.t. every parameter."""
-    xs = _as_sequence(window, params.input_dim)
-    grads, _ = _batch_grads(xs, np.array([float(target)]), params)
-    return grads
-
-
 def adam_step(
-    params: LstmParams, grads: LstmParams, state: AdamState
+    params: LstmParams, grads: LstmParams, state: AdamState,
+    hyper: LstmConfig = LstmConfig(),
 ) -> tuple[LstmParams, AdamState]:
-    """One Adam update with bias-corrected moments; returns new objects."""
+    """One Adam update with bias-corrected moments and the step size,
+    betas and eps of ``hyper``; returns new objects."""
     g = grads.vec
     if g.shape != params.vec.shape:
         raise ValueError("gradient layout does not match parameter layout")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    theta = params.vec - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    beta1, beta2 = hyper.beta1, hyper.beta2
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    theta = params.vec - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.adam_eps)
     new_params = LstmParams(theta, params.input_dim, params.hidden_size)
-    return new_params, replace(state, m=m, v=v, t=t)
+    return new_params, AdamState(m=m, v=v, t=t)
 
 
 def predict_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
@@ -531,9 +448,7 @@ def epoch_grid(
 
     rng = np.random.default_rng(seed)
     params = init_params(1, hyper.hidden_size, rng)
-    adam = AdamState.fresh(params.n_params, lr=hyper.learning_rate,
-                           beta1=hyper.beta1, beta2=hyper.beta2,
-                           eps=hyper.adam_eps)
+    adam = AdamState.fresh(params.n_params)
 
     xs_all = _time_major(data.inputs)
     ys_all = np.asarray(data.targets, dtype=np.float64)
@@ -566,7 +481,7 @@ def epoch_grid(
             for start in range(0, n, hyper.batch_size):
                 stop = start + hyper.batch_size
                 grads, _ = _batch_grads(xs_all[:, start:stop], ys_all[start:stop], params)
-                params, adam = adam_step(params, grads, adam)
+                params, adam = adam_step(params, grads, adam, hyper)
             if in_flight:
                 record(*in_flight, scorer.collect())
             if scorer and epoch < epochs:

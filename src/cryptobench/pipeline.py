@@ -28,6 +28,7 @@ functions that run or load it, so each command loads only its own.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import hashlib
 import json
@@ -116,6 +117,16 @@ def _read_json(path: Path, what: str = "artifact", fields: dict | None = None,
     return payload
 
 
+@contextlib.contextmanager
+def _malformed(path: Path, what: str):
+    """Report a bad value met while reading the ``what`` file ``path``
+    as malformed, naming the file."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise PipelineError(f"malformed {what} {path}: {exc!r}") from exc
+
+
 def _input_path(cfg: RunConfig) -> Path:
     return Path(cfg.input_path) if cfg.input_path else sample_data_path()
 
@@ -202,7 +213,8 @@ def load_prepared(out_dir: str | Path, cfg: RunConfig | None = None) -> Prepared
     out = Path(out_dir)
     meta_path = out / "prepare_meta.json"
     meta = _read_json(meta_path, fields={
-        "scaler": _OBJECT, "split_index": _INTEGER, "dataset_fingerprint": _STRING})
+        "scaler": _OBJECT, "split_index": _INTEGER, "n_records": _INTEGER,
+        "dataset_fingerprint": _STRING})
     if cfg is not None:
         for key in ("target_column", "train_fraction", "window"):
             if meta.get(key) != getattr(cfg, key):
@@ -212,6 +224,10 @@ def load_prepared(out_dir: str | Path, cfg: RunConfig | None = None) -> Prepared
     scaler = meta["scaler"]
     if not all(type(scaler.get(key)) in _NUMBER[0] for key in ("min", "max")):
         raise PipelineError(f"malformed artifact {meta_path}: scaler min or max is not a number")
+    n_records, split_index = meta["n_records"], meta["split_index"]
+    if not 0 < split_index < n_records:
+        raise PipelineError(f"malformed artifact {meta_path}: split_index {split_index} "
+                            f"does not split n_records {n_records}")
     csv_path = out / "prepared.csv"
     if not csv_path.exists():
         raise PipelineError(f"missing artifact: {csv_path}")
@@ -221,17 +237,22 @@ def load_prepared(out_dir: str | Path, cfg: RunConfig | None = None) -> Prepared
         if not line or line.startswith("#") or line.startswith("index,"):
             continue
         try:
-            _, date_text, value_text = line.split(",")
+            index_text, date_text, value_text = line.split(",")
+            if int(index_text) != len(values):
+                raise ValueError(f"index {index_text} out of order, expected {len(values)}")
             dates.append(dt.date.fromisoformat(date_text))
             values.append(float(value_text))
         except ValueError as exc:
             raise PipelineError(
                 f"malformed artifact {csv_path}: line {line_no} {line!r}: {exc}") from None
+    if len(values) != n_records:
+        raise PipelineError(f"malformed artifact {csv_path}: {len(values)} rows, but "
+                            f"{meta_path} says n_records {n_records}")
     return PreparedData(
         dates=dates,
         normalized=np.array(values, dtype=np.float64),
         scaler=ds.ScalerParams(scaler["min"], scaler["max"]),
-        split_index=meta["split_index"],
+        split_index=split_index,
         fingerprint=meta["dataset_fingerprint"],
     )
 
@@ -480,7 +501,7 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
     # every value is checked before the first file is written
     results, prediction_rows = [], {}
     for name, payload in available.items():
-        try:
+        with _malformed(out / f"{name}_result.json", "result"):
             results.append(evaluation.ModelResult(
                 model_name=name,
                 mse_normalized=payload["mse_normalized"],
@@ -489,9 +510,6 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
             ))
             prediction_rows[name] = [(p["date"], p["actual"], p["predicted"])
                                      for p in payload["predictions"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            path = out / f"{name}_result.json"
-            raise PipelineError(f"malformed result {path}: {exc!r}") from exc
     report = evaluation.compare(results, dataset_fingerprint=first["dataset_fingerprint"])
 
     summary = {
@@ -552,7 +570,8 @@ def load_lstm_checkpoint(path: str | Path):
     from . import lstm as lstm_mod
 
     payload = _read_json(Path(path), "model file", {"params": _OBJECT}, "lstm")
-    return lstm_mod.LstmParams.from_fields(payload["params"]), payload
+    with _malformed(path, "model file"):
+        return lstm_mod.LstmParams.from_fields(payload["params"]), payload
 
 
 def load_svr_model(path: str | Path):
@@ -562,17 +581,18 @@ def load_svr_model(path: str | Path):
         "kernel": _OBJECT, "n_features": _INTEGER, "support_vectors": _ARRAY,
         "dual_coefs": _ARRAY, "bias": _NUMBER, "converged": _BOOLEAN,
         "n_iter": _INTEGER, "kkt_violation": _NUMBER}, "svr")
-    sv = np.array(payload["support_vectors"], dtype=np.float64)
-    sv = sv.reshape(len(payload["dual_coefs"]), payload["n_features"])
-    model = svr_mod.SvrModel(
-        support_vectors=sv,
-        dual_coefs=np.array(payload["dual_coefs"], dtype=np.float64),
-        bias=float(payload["bias"]),
-        kernel=svr_mod.KernelSpec(**payload["kernel"]),
-        converged=payload["converged"],
-        n_iter=payload["n_iter"],
-        kkt_violation=float(payload["kkt_violation"]),
-    )
+    with _malformed(path, "model file"):
+        sv = np.array(payload["support_vectors"], dtype=np.float64)
+        sv = sv.reshape(len(payload["dual_coefs"]), payload["n_features"])
+        model = svr_mod.SvrModel(
+            support_vectors=sv,
+            dual_coefs=np.array(payload["dual_coefs"], dtype=np.float64),
+            bias=float(payload["bias"]),
+            kernel=svr_mod.KernelSpec(**payload["kernel"]),
+            converged=payload["converged"],
+            n_iter=payload["n_iter"],
+            kkt_violation=float(payload["kkt_violation"]),
+        )
     return model, payload
 
 
@@ -582,10 +602,11 @@ def load_poly_model(path: str | Path):
     payload = _read_json(Path(path), "model file", {
         "degree": _INTEGER, "intercept": _NUMBER, "coefficients": _ARRAY,
         "feature_scale": _ARRAY}, "poly")
-    model = polyreg.PolyModel(
-        degree=payload["degree"],
-        intercept=float(payload["intercept"]),
-        coefficients=np.array(payload["coefficients"], dtype=np.float64),
-        feature_scale=tuple(payload["feature_scale"]),
-    )
+    with _malformed(path, "model file"):
+        model = polyreg.PolyModel(
+            degree=payload["degree"],
+            intercept=float(payload["intercept"]),
+            coefficients=np.array(payload["coefficients"], dtype=np.float64),
+            feature_scale=tuple(payload["feature_scale"]),
+        )
     return model, payload

@@ -324,22 +324,17 @@ def _compute_bias(F, y, beta, c_bound, eps):
     return float(-(hi + lo) / 2.0)
 
 
-def _rows(X, one_feature: bool) -> np.ndarray:
-    """X as a float64 (n, d) array.  A 1-D X is n samples of one feature
-    when ``one_feature`` holds and one d-feature point otherwise."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return X.T if one_feature and X.shape[0] == 1 else X
-
-
-def _samples(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y) as float64 arrays: X (n, d), a 1-D X read as n samples of
-    one feature unless y is a single target, and y contiguous (n,)."""
-    return _rows(X, np.asarray(y).size != 1), np.ascontiguousarray(y, dtype=np.float64)
+def _rows(X) -> np.ndarray:
+    """X as a float64 (n, d) array; any other shape is refused."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"X must be an (n, d) array, got shape {X.shape}")
+    return X
 
 
 def fit(X, y, cfg: SvrConfig) -> SvrModel:
-    """Train on (X, y); X is (n, d) or (n,) for a single feature."""
-    X, y = _samples(X, y)
+    """Train on (X, y); X is (n, d) and y (n,)."""
+    X, y = _rows(X), np.ascontiguousarray(y, dtype=np.float64)
     n = y.shape[0]
     if X.shape[0] != n:
         raise ValueError(f"X has {X.shape[0]} rows but y has {n}")
@@ -372,9 +367,8 @@ def fit(X, y, cfg: SvrConfig) -> SvrModel:
 
 
 def predict_batch(model: SvrModel, X) -> np.ndarray:
-    """Kernel expansion plus bias at each row of X.  A 1-D X reads as
-    ``fit`` reads it: n samples for a one-feature model, else one point."""
-    X = _rows(X, model.support_vectors.shape[1] == 1)
+    """Kernel expansion plus bias at each row of X; X is (n, d)."""
+    X = _rows(X)
     if model.support_vectors.shape[0] == 0:
         return np.full(X.shape[0], model.bias)
     if X.shape[1] != model.support_vectors.shape[1]:
@@ -476,7 +470,7 @@ def grid_search(
     ``max_n_iter``, and the grid records its total fold fits, SMO
     iterations and capped fold fits.
     """
-    X, y = _samples(X, y)
+    X, y = _rows(X), np.ascontiguousarray(y, dtype=np.float64)
     n = y.shape[0]
     if k < 2:
         raise ValueError(f"cross-validation needs k >= 2, got {k}")

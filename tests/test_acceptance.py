@@ -20,10 +20,11 @@ from cryptobench import lstm as lstm_mod
 from cryptobench import polyreg
 from cryptobench import svr as svr_mod
 from cryptobench.cli import main
-from cryptobench.lstm import AdamState, LstmParams, LstmState, adam_step, cell_forward
+from cryptobench.lstm import AdamState, LstmParams, adam_step
 from cryptobench.svr import ConvergenceWarning, KernelSpec, SvrConfig
 
 from oracles import central_difference_gradient, qp_reference_solve, relative_mismatch
+from test_lstm import cell_step, forward, gradient
 from test_svr import random_instance
 
 SAMPLE = cryptobench.sample_data_path()
@@ -54,11 +55,11 @@ def test_criterion_1_lstm_gradient_check():
         params = lstm_mod.init_params(1, hidden, np.random.default_rng(1000 + seed))
         window = np.random.default_rng(2000 + seed).normal(size=window_len) * 0.8
         target = float(np.random.default_rng(3000 + seed).normal())
-        analytic = lstm_mod.bptt_gradients(window, target, params).to_vector()
+        analytic = gradient(window, target, params).to_vector()
 
         def loss(theta, _w=window, _t=target, _h=hidden):
             candidate = LstmParams.from_vector(theta, 1, _h)
-            pred, _ = lstm_mod.sequence_forward(_w, candidate)
+            pred = forward(_w, candidate)
             return (pred - _t) ** 2
 
         numeric = central_difference_gradient(loss, params.to_vector(), step=1e-6)
@@ -73,13 +74,13 @@ def test_criterion_1_lstm_gradient_check():
 def test_criterion_2_zero_weight_identity():
     """All-zero parameters: gates exactly 0.5, cell and hidden exactly 0."""
     params = LstmParams.zeros(1, 7)
-    state, cache = cell_forward(np.array([3.7]), LstmState.zeros(7), params)
-    assert np.all(cache.input_gate == 0.5)
-    assert np.all(cache.forget_gate == 0.5)
-    assert np.all(cache.output_gate == 0.5)
-    assert np.all(cache.candidate == 0.0)
-    assert np.all(state.c == 0.0)
-    assert np.all(state.h == 0.0)
+    h, c, (i, f, o, g) = cell_step(np.array([3.7]), params)
+    assert np.all(i == 0.5)
+    assert np.all(f == 0.5)
+    assert np.all(o == 0.5)
+    assert np.all(g == 0.0)
+    assert np.all(c == 0.0)
+    assert np.all(h == 0.0)
     print("\nACCEPTANCE 2 PASS: zero-weight cell gives gates 0.5, h = C = 0 exactly")
 
 

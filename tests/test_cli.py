@@ -463,9 +463,16 @@ class TestRun:
         ("prepare_meta.json", lambda path: path.write_text(json.dumps(
             json.loads(path.read_text()) | {"scaler": {"min": "x", "max": 1.0}}))),
         ("prepare_meta.json", lambda path: path.write_text("[1]")),
+        ("prepare_meta.json", lambda path: path.write_text(json.dumps(
+            (meta := json.loads(path.read_text())) | {"split_index": meta["n_records"]}))),
         ("prepared.csv", lambda path: path.write_text(path.read_text() + "0,2024-01-01\n")),
+        ("prepared.csv", lambda path: path.write_text(
+            "".join(path.read_text().splitlines(keepends=True)[:-5]))),
+        ("prepared.csv", lambda path: path.write_text(
+            "".join([*(lines := path.read_text().splitlines(keepends=True))[:-2],
+                     lines[-1], lines[-2]]))),
     ], ids=["table_is_a_directory", "meta_without_scaler", "meta_text_scaler", "meta_list",
-            "prepared_short_row"])
+            "meta_split_at_end", "prepared_short_row", "prepared_truncated", "prepared_rows_swapped"])
     def test_broken_artifact_exits_3(self, full_run, tmp_path, capsys, name, damage):
         copy, args = _private_copy(full_run, tmp_path)
         path = copy / name
@@ -494,6 +501,10 @@ class TestRun:
         assert (np.float64([model.intercept, *model.feature_scale]).tobytes()
                 == np.float64([swept.intercept, *swept.feature_scale]).tobytes())
 
+
+# The loader of each family's model file.
+LOADERS = {"lstm": pipeline.load_lstm_checkpoint, "svr": pipeline.load_svr_model,
+           "poly": pipeline.load_poly_model}
 
 # What ``run_model`` writes for each family, beyond its model and result files.
 FAMILY_ARTIFACTS = {
@@ -597,11 +608,31 @@ class TestCheckpointRoundTrips:
         payload = json.loads((Path(out) / f"{name}_model.json").read_text())
         path = tmp_path / f"{name}_model.json"
         path.write_text(json.dumps(payload | {key: value}))
-        loader = {"lstm": pipeline.load_lstm_checkpoint, "svr": pipeline.load_svr_model,
-                  "poly": pipeline.load_poly_model}[name]
         with pytest.raises(pipeline.PipelineError, match=(
                 f"^malformed model file {re.escape(str(path))}: {key} is not {kind}$")):
-            loader(path)
+            LOADERS[name](path)
+
+    @pytest.mark.parametrize("name, edit, cause", [
+        ("poly", lambda m: m | {"feature_scale": [0.0]}, IndexError),
+        ("poly", lambda m: m | {"coefficients": m["coefficients"][1:]}, ValueError),
+        ("lstm", lambda m: m | {"params": {k: v for k, v in m["params"].items()
+                                          if k != "w_ix"}}, KeyError),
+        ("lstm", lambda m: m | {"params": m["params"] | {"w_fx": [[0.0]]}}, ValueError),
+        ("svr", lambda m: m | {"kernel": m["kernel"] | {"degree": 3}}, TypeError),
+        ("svr", lambda m: m | {"kernel": m["kernel"] | {"kind": "poly"}}, ValueError),
+        ("svr", lambda m: m | {"n_features": m["n_features"] + 1}, ValueError),
+    ], ids=["poly_short_scale", "poly_few_coefficients", "lstm_without_w_ix",
+            "lstm_misshapen_w_fx", "svr_extra_kernel_key", "svr_unknown_kernel",
+            "svr_wrong_n_features"])
+    def test_malformed_model_value_is_refused(self, full_run, tmp_path, name, edit, cause):
+        out, _ = full_run
+        payload = json.loads((Path(out) / f"{name}_model.json").read_text())
+        path = tmp_path / f"{name}_model.json"
+        path.write_text(json.dumps(edit(payload)))
+        with pytest.raises(pipeline.PipelineError, match=(
+                f"^malformed model file {re.escape(str(path))}: ")) as caught:
+            LOADERS[name](path)
+        assert type(caught.value.__cause__) is cause
 
     def test_poly_model_reproduces_predictions(self, full_run):
         out, _ = full_run

@@ -12,13 +12,9 @@ from cryptobench.lstm import (
     AdamState,
     LstmConfig,
     LstmParams,
-    LstmState,
     adam_step,
-    bptt_gradients,
-    cell_forward,
     epoch_grid,
     init_params,
-    sequence_forward,
 )
 
 from oracles import (
@@ -49,25 +45,47 @@ def random_params(input_dim, hidden, seed):
     return init_params(input_dim, hidden, np.random.default_rng(seed))
 
 
+def cell_step(x, p, h0=None, c0=None):
+    """One ``lstm._step`` at B = 1 from (h0, c0), zero by default: h_t,
+    C_t and the i, f, o, g activations."""
+    hidden = p.hidden_size
+    h0 = np.zeros(hidden) if h0 is None else h0
+    c0 = np.zeros(hidden) if c0 is None else c0
+    h = np.empty((hidden, 1))
+    z_t = np.concatenate((h0, x, [1.0]))[:, np.newaxis]
+    act, c, _ = lstm._step(p.w, z_t, c0[:, np.newaxis], h)
+    return h[:, 0], c[:, 0], lstm._gates(act[:, 0], hidden)
+
+
+def forward(window, p):
+    """The head output for one window of scalars or (T, D) features."""
+    return lstm.predict_batch(p, window[np.newaxis])[0]
+
+
+def gradient(window, target, p):
+    """The gradient of (prediction - target)^2 for one window."""
+    return lstm._batch_grads(lstm._time_major(window[np.newaxis]), np.array([target]), p)[0]
+
+
 class TestCellForward:
     def test_zero_parameters_exact(self):
         p = LstmParams.zeros(2, 3)
-        state, cache = cell_forward(np.array([1.0, -2.0]), LstmState.zeros(3), p)
-        np.testing.assert_array_equal(cache.input_gate, 0.5)
-        np.testing.assert_array_equal(cache.forget_gate, 0.5)
-        np.testing.assert_array_equal(cache.output_gate, 0.5)
-        np.testing.assert_array_equal(cache.candidate, 0.0)
-        np.testing.assert_array_equal(state.c, 0.0)
-        np.testing.assert_array_equal(state.h, 0.0)
+        h, c, (i, f, o, g) = cell_step(np.array([1.0, -2.0]), p)
+        np.testing.assert_array_equal(i, 0.5)
+        np.testing.assert_array_equal(f, 0.5)
+        np.testing.assert_array_equal(o, 0.5)
+        np.testing.assert_array_equal(g, 0.0)
+        np.testing.assert_array_equal(c, 0.0)
+        np.testing.assert_array_equal(h, 0.0)
 
     def test_unit_scalar_cell_matches_oracle(self):
-        state, cache = cell_forward(np.array([1.0]), LstmState.zeros(1), ones_params())
-        np.testing.assert_allclose(cache.input_gate, SIG1, rtol=1e-15)
-        np.testing.assert_allclose(cache.forget_gate, SIG1, rtol=1e-15)
-        np.testing.assert_allclose(cache.output_gate, SIG1, rtol=1e-15)
-        np.testing.assert_allclose(cache.candidate, TANH1, rtol=1e-15)
-        np.testing.assert_allclose(state.c, CELL_C, rtol=1e-14)
-        np.testing.assert_allclose(state.h, CELL_H, rtol=1e-14)
+        h, c, (i, f, o, g) = cell_step(np.array([1.0]), ones_params())
+        np.testing.assert_allclose(i, SIG1, rtol=1e-15)
+        np.testing.assert_allclose(f, SIG1, rtol=1e-15)
+        np.testing.assert_allclose(o, SIG1, rtol=1e-15)
+        np.testing.assert_allclose(g, TANH1, rtol=1e-15)
+        np.testing.assert_allclose(c, CELL_C, rtol=1e-14)
+        np.testing.assert_allclose(h, CELL_H, rtol=1e-14)
 
     def test_matches_scalar_oracle_on_random_instances(self):
         rng = np.random.default_rng(11)
@@ -76,54 +94,48 @@ class TestCellForward:
             x = rng.normal(size=2)
             h0 = rng.normal(size=hidden) * 0.5
             c0 = rng.normal(size=hidden)
-            state, cache = cell_forward(x, LstmState(h=h0.copy(), c=c0.copy()), p)
+            h, c, (i, _, _, _) = cell_step(x, p, h0.copy(), c0.copy())
             oh, oc, gates = lstm_scalar_cell(
                 x.tolist(), h0.tolist(), c0.tolist(), lstm_params_as_lists(p))
-            np.testing.assert_allclose(state.h, oh, rtol=1e-12)
-            np.testing.assert_allclose(state.c, oc, rtol=1e-12)
-            np.testing.assert_allclose(cache.input_gate, gates["i"], rtol=1e-12)
+            np.testing.assert_allclose(h, oh, rtol=1e-12)
+            np.testing.assert_allclose(c, oc, rtol=1e-12)
+            np.testing.assert_allclose(i, gates["i"], rtol=1e-12)
 
     def test_gate_ranges(self):
         rng = np.random.default_rng(5)
         p = random_params(1, 6, seed=9)
-        state = LstmState.zeros(6)
+        h, c = np.zeros(6), np.zeros(6)
         for _ in range(50):
             x = rng.normal(scale=3.0, size=1)
-            state, cache = cell_forward(x, state, p)
-            for gate in (cache.input_gate, cache.forget_gate, cache.output_gate):
+            h, c, (i, f, o, g) = cell_step(x, p, h, c)
+            for gate in (i, f, o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
-            assert np.all(np.abs(cache.candidate) < 1.0)
-            assert np.all(np.abs(state.h) < 1.0)
-
-    def test_shape_mismatch(self):
-        p = LstmParams.zeros(1, 3)
-        with pytest.raises(ValueError):
-            cell_forward(np.array([1.0, 2.0]), LstmState.zeros(3), p)
-        with pytest.raises(ValueError):
-            cell_forward(np.array([1.0]), LstmState.zeros(4), p)
+            assert np.all(np.abs(g) < 1.0)
+            assert np.all(np.abs(h) < 1.0)
 
 
 class TestSequenceForward:
     def test_zero_params_returns_head_bias(self):
         p = LstmParams.zeros(1, 4)
         p.b_y = -2.5
-        pred, _ = sequence_forward(np.array([1.0, 2.0, 3.0]), p)
+        pred = forward(np.array([1.0, 2.0, 3.0]), p)
         assert pred == -2.5
 
-    def test_single_step_equals_cell_forward_plus_head(self):
+    def test_single_step_equals_cell_step_plus_head(self):
         p = random_params(1, 3, seed=21)
         window = np.array([0.7])
-        pred, caches = sequence_forward(window, p)
-        state, cache = cell_forward(window[:1], LstmState.zeros(3), p)
-        np.testing.assert_allclose(pred, float(state.h @ p.w_y + p.b_y), rtol=1e-15)
-        np.testing.assert_allclose(caches[0].cell, cache.cell, rtol=1e-15)
+        pred = forward(window, p)
+        _, (_, _, _, cells) = lstm._unroll(lstm._time_major(window[np.newaxis]), p, keep=True)
+        h, c, _ = cell_step(window[:1], p)
+        np.testing.assert_allclose(pred, float(h @ p.w_y + p.b_y), rtol=1e-15)
+        np.testing.assert_allclose(cells[1][:, 0], c, rtol=1e-15)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(3)
         for hidden in (1, 2, 3):
             p = random_params(1, hidden, seed=100 + hidden)
             window = rng.normal(size=3)
-            pred, _ = sequence_forward(window, p)
+            pred = forward(window, p)
             oracle = lstm_scalar_sequence(
                 [[v] for v in window.tolist()], lstm_params_as_lists(p))
             assert relative_mismatch(pred, oracle) < 1e-12
@@ -131,11 +143,11 @@ class TestSequenceForward:
     def test_equals_manual_cell_loop(self):
         p = random_params(1, 5, seed=8)
         window = np.random.default_rng(0).normal(size=7)
-        state = LstmState.zeros(5)
+        h, c = np.zeros(5), np.zeros(5)
         for v in window:
-            state, _ = cell_forward(np.array([v]), state, p)
-        expected = float(state.h @ p.w_y + p.b_y)
-        pred, _ = sequence_forward(window, p)
+            h, c, _ = cell_step(np.array([v]), p, h, c)
+        expected = float(h @ p.w_y + p.b_y)
+        pred = forward(window, p)
         np.testing.assert_allclose(pred, expected, rtol=1e-14)
 
     def test_two_features_match_scalar_oracle(self):
@@ -143,29 +155,25 @@ class TestSequenceForward:
         for hidden in (1, 3):
             p = random_params(2, hidden, seed=200 + hidden)
             window = rng.normal(size=(5, 2))
-            pred, _ = sequence_forward(window, p)
+            pred = forward(window, p)
             oracle = lstm_scalar_sequence(window.tolist(), lstm_params_as_lists(p))
             np.testing.assert_allclose(pred, oracle, rtol=1e-12)
-
-    def test_empty_window(self):
-        with pytest.raises(ValueError):
-            sequence_forward(np.array([]), LstmParams.zeros(1, 2))
 
 
 class TestBpttGradients:
     def test_zero_residual_gives_zero_gradients(self):
         p = random_params(1, 3, seed=17)
         window = np.array([0.2, -0.4, 0.9])
-        pred, _ = sequence_forward(window, p)
-        grads = bptt_gradients(window, pred, p)
+        pred = forward(window, p)
+        grads = gradient(window, pred, p)
         assert np.all(grads.to_vector() == 0.0)
 
     def test_head_bias_gradient(self):
         p = random_params(1, 4, seed=2)
         window = np.array([0.5, 0.1])
         target = -0.3
-        pred, _ = sequence_forward(window, p)
-        grads = bptt_gradients(window, target, p)
+        pred = forward(window, p)
+        grads = gradient(window, target, p)
         np.testing.assert_allclose(grads.b_y, 2.0 * (pred - target), rtol=1e-14)
 
     def test_gradients_match_finite_differences(self):
@@ -175,11 +183,11 @@ class TestBpttGradients:
         p = random_params(1, 3, seed=1031)
         window = np.random.default_rng(2031).normal(size=4) * 0.8
         target = float(np.random.default_rng(3031).normal())
-        analytic = bptt_gradients(window, target, p).to_vector()
+        analytic = gradient(window, target, p).to_vector()
 
         def loss(theta):
             q = LstmParams.from_vector(theta, 1, 3)
-            pred, _ = sequence_forward(window, q)
+            pred = forward(window, q)
             return (pred - target) ** 2
 
         numeric = central_difference_gradient(loss, p.to_vector(), step=1e-6)
@@ -192,7 +200,7 @@ class TestBpttGradients:
         targets = rng.normal(size=5)
         grads, loss = lstm._batch_grads(lstm._time_major(inputs), targets, p)
         per_sample = np.mean(
-            [bptt_gradients(inputs[k], targets[k], p).to_vector() for k in range(5)],
+            [gradient(inputs[k], targets[k], p).to_vector() for k in range(5)],
             axis=0)
         np.testing.assert_allclose(grads.to_vector(), per_sample, rtol=1e-12, atol=1e-15)
         preds = lstm.predict_batch(p, inputs)
@@ -207,7 +215,7 @@ class TestBpttGradients:
         targets = rng.normal(size=6)
         grads, _ = lstm._batch_grads(lstm._time_major(inputs), targets, p)
         per_sample = np.mean(
-            [bptt_gradients(inputs[k], targets[k], p).to_vector() for k in range(6)],
+            [gradient(inputs[k], targets[k], p).to_vector() for k in range(6)],
             axis=0)
         np.testing.assert_allclose(grads.to_vector(), per_sample, rtol=1e-12, atol=1e-15)
 
@@ -215,10 +223,10 @@ class TestBpttGradients:
         p = random_params(2, 3, seed=1033)
         window = np.random.default_rng(2033).normal(size=(4, 2)) * 0.8
         target = float(np.random.default_rng(3033).normal())
-        analytic = bptt_gradients(window, target, p).to_vector()
+        analytic = gradient(window, target, p).to_vector()
 
         def loss(theta):
-            pred, _ = sequence_forward(window, LstmParams.from_vector(theta, 2, 3))
+            pred = forward(window, LstmParams.from_vector(theta, 2, 3))
             return (pred - target) ** 2
 
         numeric = central_difference_gradient(loss, p.to_vector(), step=1e-6)
@@ -234,11 +242,11 @@ class TestBpttGradients:
         for start in (0, 32):
             batch = slice(start, start + 32)
             grads, loss = lstm._batch_grads(xs[:, batch], targets[batch], p)
-            preds = [sequence_forward(window, p)[0] for window in inputs[batch]]
+            preds = [forward(window, p) for window in inputs[batch]]
             expected_loss = float(np.mean((np.array(preds) - targets[batch]) ** 2))
             np.testing.assert_allclose(loss, expected_loss, rtol=1e-12)
             per_sample = np.mean(
-                [bptt_gradients(window, target, p).to_vector()
+                [gradient(window, target, p).to_vector()
                  for window, target in zip(inputs[batch], targets[batch])], axis=0)
             np.testing.assert_allclose(grads.to_vector(), per_sample,
                                        rtol=1e-12, atol=1e-15)
@@ -250,7 +258,7 @@ class TestPredictBatch:
         p = random_params(1, 5, seed=23)
         inputs = np.random.default_rng(29).normal(size=(n, 7))
         preds = lstm.predict_batch(p, inputs)
-        expected = [sequence_forward(inputs[k], p)[0] for k in range(n)]
+        expected = [forward(inputs[k], p) for k in range(n)]
         assert preds.shape == (n,)
         # the head sums terms of order 0.1, so a prediction near zero
         # carries ~1e-18 absolute rounding that rtol alone would magnify
@@ -278,8 +286,9 @@ class TestAdam:
         rng = np.random.default_rng(12)
         g = rng.normal(scale=3.0, size=11)
         state = AdamState.fresh(11)
-        m = state.beta1 * state.m + (1 - state.beta1) * g
-        m_hat = m / (1 - state.beta1 ** 1)
+        beta1 = LstmConfig().beta1
+        m = beta1 * state.m + (1 - beta1) * g
+        m_hat = m / (1 - beta1 ** 1)
         np.testing.assert_allclose(m_hat, g, rtol=1e-15)
 
     def test_negated_gradient_negates_update_exactly(self):

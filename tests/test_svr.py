@@ -286,13 +286,13 @@ class TestPredict:
     def test_empty_support_set_returns_bias(self):
         model = SvrModel(support_vectors=np.empty((0, 1)), dual_coefs=np.empty(0),
                          bias=1.5, kernel=KernelSpec("rbf", gamma=1.0))
-        assert predict_batch(model, np.array([42.0])).tolist() == [1.5]
+        assert predict_batch(model, np.array([[42.0]])).tolist() == [1.5]
 
     def test_single_linear_support_vector(self):
         model = SvrModel(support_vectors=np.array([[2.0, 1.0]]),
                          dual_coefs=np.array([0.5]), bias=-1.0,
                          kernel=KernelSpec("linear"))
-        x = np.array([4.0, 3.0])
+        x = np.array([[4.0, 3.0]])
         np.testing.assert_allclose(predict_batch(model, x), [0.5 * (2 * 4 + 1 * 3) - 1.0],
                                    rtol=1e-15)
 
@@ -309,25 +309,28 @@ class TestPredict:
         bias_ref = y[idx] - K[idx] @ beta_ref - cfg.epsilon * np.sign(beta_ref[idx])
         rng = np.random.default_rng(8)
         for _ in range(5):
-            x = rng.normal(size=2)
-            ref = float(gram_matrix(spec, X, x.reshape(1, -1))[:, 0] @ beta_ref + bias_ref)
+            x = rng.normal(size=(1, 2))
+            ref = float(gram_matrix(spec, X, x)[:, 0] @ beta_ref + bias_ref)
             assert abs(predict_batch(model, x)[0] - ref) <= 1e-6
 
-    def test_one_dimensional_x_fits_and_predicts_as_samples(self):
+    def test_one_dimensional_x_is_refused(self):
         x = np.linspace(0.0, 1.0, 10)
         y = np.sin(3.0 * x)
         cfg = SvrConfig(kernel=KernelSpec("rbf", gamma=1.0), c=10.0, epsilon=0.01)
-        model = fit(x, y, cfg)
-        assert model.support_vectors.shape[1] == 1
-        preds = predict_batch(model, x)
-        assert preds.shape == (10,)
-        np.testing.assert_array_equal(preds, predict_batch(model, x.reshape(-1, 1)))
+        message = r"^X must be an \(n, d\) array, got shape \(10,\)$"
+        with pytest.raises(ValueError, match=message):
+            fit(x, y, cfg)
+        with pytest.raises(ValueError, match=message):
+            grid_search(x, y, ("rbf",), (1.0,), (10.0,), k=2)
+        model = fit(x.reshape(-1, 1), y, cfg)
+        with pytest.raises(ValueError, match=message):
+            predict_batch(model, x)
 
     def test_dimension_mismatch(self):
         model = SvrModel(support_vectors=np.ones((2, 3)), dual_coefs=np.ones(2),
                          bias=0.0, kernel=KernelSpec("linear"))
         with pytest.raises(ValueError, match="dimension"):
-            predict_batch(model, np.ones(2))
+            predict_batch(model, np.ones((1, 2)))
 
 
 class TestGammaInvariance:
