@@ -1,4 +1,4 @@
-"""OHLCV ingestion: parse, validate, clean, normalize, split and window.
+"""OHLCV ingestion: parse, validate, clean, normalize, split, window, fold.
 
 The CSV contract is a Yahoo-Finance-style daily bar file with the seven
 columns Date, Open, High, Low, Close, Adj Close, Volume (any order,
@@ -39,6 +39,7 @@ __all__ = [
     "inverse_scale",
     "chronological_split",
     "make_windows",
+    "time_folds",
     "column_values",
 ]
 
@@ -378,3 +379,23 @@ def make_windows(values, window: int) -> WindowedDataset:
     inputs = np.ascontiguousarray(view[:-1])
     targets = arr[window:].copy()
     return WindowedDataset(inputs=inputs, targets=targets, window=window)
+
+
+def time_folds(n: int, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Contiguous, unshuffled k-fold CV over ``n`` time-ordered samples: one
+    (fit_indices, eval_indices) pair per fold, the first n % k evals one longer."""
+    if k < 2:
+        raise DatasetError(f"cross-validation needs k >= 2, got {k}")
+    if n < k:
+        raise DatasetError(f"{n} samples cannot fill {k} folds")
+    size, longer = divmod(n, k)
+    if n - size - (longer > 0) < 2:
+        raise DatasetError(
+            f"{n} samples leave fewer than 2 training points per {k}-fold split")
+    index = np.arange(n)
+    folds, start = [], 0
+    for r in range(k):
+        stop = start + size + (r < longer)
+        folds.append((np.concatenate((index[:start], index[stop:])), index[start:stop]))
+        start = stop
+    return folds

@@ -242,6 +242,8 @@ def load_prepared(out_dir: str | Path, cfg: RunConfig | None = None) -> Prepared
                 raise ValueError(f"index {index_text} out of order, expected {len(values)}")
             dates.append(dt.date.fromisoformat(date_text))
             values.append(float(value_text))
+            if not np.isfinite(values[-1]):
+                raise ValueError(f"value {value_text} is not finite")
         except ValueError as exc:
             raise PipelineError(
                 f"malformed artifact {csv_path}: line {line_no} {line!r}: {exc}") from None
@@ -339,8 +341,8 @@ def _fit_svr(cfg: RunConfig, prepared: PreparedData) -> _Fit:
     grid = svr_mod.grid_search(
         x_train, y_train,
         kernels=cfg.svr_kernels, gammas=cfg.svr_gammas, cs=cfg.svr_cs,
-        k=cfg.svr_cv_folds, epsilon=cfg.svr_epsilon, tol=cfg.svr_tol,
-        coef0=cfg.svr_coef0)
+        folds=ds.time_folds(len(y_train), cfg.svr_cv_folds),
+        epsilon=cfg.svr_epsilon, tol=cfg.svr_tol, coef0=cfg.svr_coef0)
     best_cell = grid.best
     spec = svr_mod.KernelSpec(kind=best_cell.kernel, gamma=best_cell.gamma,
                               coef0=cfg.svr_coef0)

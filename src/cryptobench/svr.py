@@ -31,11 +31,9 @@ __all__ = [
     "GridCell",
     "SvrGrid",
     "ConvergenceWarning",
-    "kernel_eval",
     "gram_matrix",
     "fit",
     "predict_batch",
-    "dual_objective",
     "grid_search",
 ]
 
@@ -116,20 +114,6 @@ class SvrGrid:
     @property
     def best(self) -> GridCell:
         return self.cells[self.best_index]
-
-
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """linear: x.z; rbf: exp(-gamma ||x-z||^2); sigmoid: tanh(gamma x.z + coef0)."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if x.shape != z.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {z.shape}")
-    if spec.kind == "linear":
-        return float(x @ z)
-    if spec.kind == "rbf":
-        diff = x - z
-        return float(np.exp(-spec.gamma * (diff @ diff)))
-    return float(np.tanh(spec.gamma * (x @ z) + spec.coef0))
 
 
 def gram_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
@@ -293,14 +277,6 @@ def _smo_solve(K, y, c_bound, eps, tol, max_iter):
         it += 1
 
 
-def dual_objective(K, y, beta, epsilon: float) -> float:
-    """Maximized dual value -1/2 b'Kb + y'b - eps ||b||_1 at ``beta``."""
-    K = np.asarray(K, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return float(-0.5 * beta @ K @ beta + y @ beta - epsilon * np.abs(beta).sum())
-
-
 def _compute_bias(F, y, beta, c_bound, eps):
     """Average over unbounded support vectors, else the KKT-window midpoint."""
     bound_margin, zero_margin = _margins(c_bound)
@@ -379,17 +355,6 @@ def predict_batch(model: SvrModel, X) -> np.ndarray:
     return K.T @ model.dual_coefs + model.bias
 
 
-def _fold_bounds(n: int, k: int) -> list[tuple[int, int]]:
-    """Contiguous, unshuffled k-fold boundaries (sizes differ by <= 1)."""
-    sizes = [n // k + (1 if r < n % k else 0) for r in range(k)]
-    bounds = []
-    start = 0
-    for size in sizes:
-        bounds.append((start, start + size))
-        start += size
-    return bounds
-
-
 # The grid's task table in a forked worker, set by ``_inherit_tasks`` when
 # the worker starts; the calling process never sets it.
 _worker_tasks: list = []
@@ -409,15 +374,13 @@ def _fold_fit_at(index: int) -> tuple[float, bool, int]:
 
 
 def _fold_fit(task) -> tuple[float, bool, int]:
-    """Fit one distinct config on all folds but one and score the held-out
-    fold: (fold MSE, converged, SMO iterations)."""
-    X, y, (start, stop), cfg = task
-    mask = np.ones(y.shape[0], dtype=bool)
-    mask[start:stop] = False
+    """Fit one distinct config on a fold's fit indices and score it on its
+    eval indices: (fold MSE, converged, SMO iterations)."""
+    X, y, (fit_at, eval_at), cfg = task
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        model = fit(X[mask], y[mask], cfg)
-    fold_mse = mse(y[start:stop], predict_batch(model, X[start:stop]))
+        model = fit(X[fit_at], y[fit_at], cfg)
+    fold_mse = mse(y[eval_at], predict_batch(model, X[eval_at]))
     return fold_mse, model.converged, model.n_iter
 
 
@@ -427,20 +390,20 @@ def grid_search(
     kernels: Sequence[str],
     gammas: Sequence[float],
     cs: Sequence[float],
-    k: int = 5,
+    folds: Sequence[tuple[np.ndarray, np.ndarray]],
     epsilon: float = 0.1,
     tol: float = 1e-3,
     coef0: float = 0.0,
 ) -> SvrGrid:
-    """Exhaustive kernel x gamma x C sweep scored by k-fold CV MSE.
-
-    Folds are contiguous in time order.  The best cell is the argmin of
+    """Exhaustive kernel x gamma x C sweep scored by cross-validation MSE
+    over ``folds``, the (fit_indices, eval_indices) pairs that
+    ``dataset.time_folds`` cuts.  The best cell is the argmin of
     cv_mse with ties resolved by grid order (kernel, then gamma, then C
     as listed).
 
     Each distinct fit is cross-validated once, keyed by (kind, gamma,
     C).  The linear kernel ignores gamma, so its key drops gamma: the
-    first gamma row's config runs the k fold fits of each C and the
+    first gamma row's config runs the fold fits of each C and the
     other gamma rows reuse those scores, bit for bit, while each cell
     keeps its own gamma.  Every (distinct fit, fold) task runs through
     ``fit`` and ``predict_batch``.
@@ -471,15 +434,7 @@ def grid_search(
     iterations and capped fold fits.
     """
     X, y = _rows(X), np.ascontiguousarray(y, dtype=np.float64)
-    n = y.shape[0]
-    if k < 2:
-        raise ValueError(f"cross-validation needs k >= 2, got {k}")
-    if n < k:
-        raise ValueError(f"{n} samples cannot fill {k} folds")
-    bounds = _fold_bounds(n, k)
-    if n - max(stop - start for start, stop in bounds) < 2:
-        raise ValueError(
-            f"{n} samples leave fewer than 2 training points per {k}-fold split")
+    k = len(folds)
     fits: dict[tuple, SvrConfig] = {}
     cell_keys: list[tuple[str, float, float, tuple]] = []
     for kind in kernels:
@@ -491,7 +446,7 @@ def grid_search(
                     fits[key] = SvrConfig(kernel=spec, c=float(c), epsilon=epsilon, tol=tol)
                 cell_keys.append((kind, float(gamma), float(c), key))
 
-    tasks = [(X, y, fold, cfg) for cfg in fits.values() for fold in bounds]
+    tasks = [(X, y, fold, cfg) for cfg in fits.values() for fold in folds]
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     if workers > 1:
         # imported here, so that importing the package does not load them
@@ -516,10 +471,10 @@ def grid_search(
 
     scores: dict[tuple, tuple[float, int, int]] = {}
     for index, key in enumerate(fits):
-        folds = results[index * k:(index + 1) * k]
-        scores[key] = (float(np.mean([fold_mse for fold_mse, _, _ in folds])),
-                       sum(converged for _, converged, _ in folds),
-                       max(n_iter for _, _, n_iter in folds))
+        scored = results[index * k:(index + 1) * k]
+        scores[key] = (float(np.mean([fold_mse for fold_mse, _, _ in scored])),
+                       sum(converged for _, converged, _ in scored),
+                       max(n_iter for _, _, n_iter in scored))
     cells = [GridCell(kind, gamma, c, *scores[key]) for kind, gamma, c, key in cell_keys]
     capped = [
         f"{kind}{'' if gamma is None else f' gamma={gamma:g}'} C={c:g} "

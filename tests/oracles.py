@@ -3,8 +3,9 @@
 Everything here is deliberately written against different primitives
 or algorithms than the package under test: scalar ``math`` loops
 instead of numpy kernels for the LSTM, finite differences instead of
-backprop, and ``math.fsum`` instead of vectorized accumulation.  The
-SVR dual oracle is vectorized numpy like the package; its independence
+backprop, ``math.fsum`` instead of vectorized accumulation, and an SVR
+kernel taken one pair of points at a time instead of as a Gram matrix.
+The SVR dual oracle is vectorized numpy like the package; its independence
 comes from its algorithm and form instead: projected gradient with
 momentum over the 2n-variable (alpha, alpha*) dual, where the package
 runs pairwise SMO over the n coefficients alpha - alpha*, and it shares
@@ -184,6 +185,35 @@ def qp_reference_solve(K, y, c_bound, eps, max_iter=120_000):
     n = y.shape[0]
     beta = z[:n] - z[n:]
     return beta, -float(obj_min)
+
+
+# --- SVR kernel and dual objective, point by point -----------------
+# The kernel of one pair of points, against the package's whole-matrix
+# gram_matrix, and the beta-form dual objective that fit's coefficients
+# are scored by against qp_reference_solve's optimum.
+
+
+def kernel_eval(spec, x, z) -> float:
+    """K(x, z) for a KernelSpec ``spec``.  linear: x.z; rbf:
+    exp(-gamma ||x-z||^2); sigmoid: tanh(gamma x.z + coef0)."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if x.shape != z.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {z.shape}")
+    if spec.kind == "linear":
+        return float(x @ z)
+    if spec.kind == "rbf":
+        diff = x - z
+        return float(np.exp(-spec.gamma * (diff @ diff)))
+    return float(np.tanh(spec.gamma * (x @ z) + spec.coef0))
+
+
+def dual_objective(K, y, beta, epsilon: float) -> float:
+    """Maximized dual value -1/2 b'Kb + y'b - eps ||b||_1 at ``beta``."""
+    K = np.asarray(K, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return float(-0.5 * beta @ K @ beta + y @ beta - epsilon * np.abs(beta).sum())
 
 
 # --- epsilon-SVR SMO reference -------------------------------------

@@ -23,7 +23,8 @@ from cryptobench.cli import main
 from cryptobench.lstm import AdamState, LstmParams, adam_step
 from cryptobench.svr import ConvergenceWarning, KernelSpec, SvrConfig
 
-from oracles import central_difference_gradient, qp_reference_solve, relative_mismatch
+from oracles import (central_difference_gradient, dual_objective, qp_reference_solve,
+                     relative_mismatch)
 from test_lstm import cell_step, forward, gradient
 from test_svr import random_instance
 
@@ -134,7 +135,7 @@ def test_criterion_4_svr_oracle_equivalence():
             unbounded = (np.abs(beta) > 1e-9) & (np.abs(beta) < c_bound * (1 - 1e-9))
             assert np.all(np.abs(resid[unbounded] - epsilon) <= cfg.tol + 1e-12)
 
-            ours = svr_mod.dual_objective(K, y, beta, epsilon)
+            ours = dual_objective(K, y, beta, epsilon)
             _, reference = qp_reference_solve(K, y, c_bound, epsilon)
             rel = abs(ours - reference) / max(1.0, abs(reference))
             worst_rel = max(worst_rel, rel)
@@ -159,7 +160,7 @@ def test_criterion_5_linear_gamma_invariance():
         warnings.simplefilter("ignore", ConvergenceWarning)
         grid = svr_mod.grid_search(t[:split], normalized[:split],
                                    ("rbf", "sigmoid", "linear"), gammas, cs,
-                                   k=5, epsilon=0.1, tol=1e-3)
+                                   folds=ds.time_folds(split, 5), epsilon=0.1, tol=1e-3)
     assert len(grid.cells) == 48
     linear = [c for c in grid.cells if c.kernel == "linear"]
     assert len(linear) == 16

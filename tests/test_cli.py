@@ -62,8 +62,10 @@ BAD_LSTM_SETTINGS = [
     ("beta2 = inf", "beta2 must be in [0, 1), got inf"),
 ]
 
-# an [svr] setting that is not finite and the error that ``run svr`` reports
+# an [svr] setting that is not finite (or a fold count below 2) and the
+# error that ``run svr`` reports
 BAD_SVR_SETTINGS = [
+    ("cv_folds = 1", "cross-validation needs k >= 2, got 1"),
     ("epsilon = nan", "epsilon must be finite and non-negative, got nan"),
     ("epsilon = inf", "epsilon must be finite and non-negative, got inf"),
     ("gammas = inf", "gamma must be finite, got inf"),
@@ -144,6 +146,15 @@ def _private_copy(full_run, tmp_path):
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
     return copy, [*base[:-4], "--out-dir", str(copy), *base[-2:]]
+
+
+def _set_prepared_value(path, row, text):
+    """Write ``text`` as the normalized_close of data row ``row`` of the
+    prepared.csv at ``path`` (a negative row counts from the end)."""
+    lines = path.read_text().splitlines(keepends=True)
+    at = row + 3 if row >= 0 else row  # two stamp lines and the header first
+    lines[at] = f"{lines[at].rsplit(',', 1)[0]},{text}\n"
+    path.write_text("".join(lines))
 
 
 # Runs ``cli.main`` on its arguments, if any, in a fresh interpreter and
@@ -471,8 +482,11 @@ class TestRun:
         ("prepared.csv", lambda path: path.write_text(
             "".join([*(lines := path.read_text().splitlines(keepends=True))[:-2],
                      lines[-1], lines[-2]]))),
+        ("prepared.csv", lambda path: _set_prepared_value(path, -1, "inf")),
+        ("prepared.csv", lambda path: _set_prepared_value(path, 0, "nan")),
     ], ids=["table_is_a_directory", "meta_without_scaler", "meta_text_scaler", "meta_list",
-            "meta_split_at_end", "prepared_short_row", "prepared_truncated", "prepared_rows_swapped"])
+            "meta_split_at_end", "prepared_short_row", "prepared_truncated", "prepared_rows_swapped",
+            "prepared_inf", "prepared_nan"])
     def test_broken_artifact_exits_3(self, full_run, tmp_path, capsys, name, damage):
         copy, args = _private_copy(full_run, tmp_path)
         path = copy / name

@@ -273,3 +273,29 @@ def test_column_values_nan_for_missing():
     values = dataset.column_values(series, "close")
     assert values[0] == 100.0
     assert np.isnan(values[1])
+
+
+class TestTimeFolds:
+    def test_folds_are_the_array_split_partition(self):
+        for n in range(1, 61):
+            for k in range(2, 11):
+                held = np.array_split(np.arange(n), k)
+                if n < k or n - len(held[0]) < 2:
+                    with pytest.raises(DatasetError):
+                        dataset.time_folds(n, k)
+                    continue
+                folds = dataset.time_folds(n, k)
+                assert [e.tolist() for _, e in folds] == [h.tolist() for h in held]
+                for fit, evaluate in folds:
+                    assert not set(fit.tolist()) & set(evaluate.tolist())
+                    assert sorted([*fit.tolist(), *evaluate.tolist()]) == list(range(n))
+                    assert fit.tolist() == sorted(fit.tolist())
+
+    @pytest.mark.parametrize("n, k, message", [
+        (10, 1, "cross-validation needs k >= 2, got 1"),
+        (3, 5, "3 samples cannot fill 5 folds"),
+        (3, 2, "3 samples leave fewer than 2 training points per 2-fold split"),
+    ], ids=["one_fold", "too_few_samples", "too_few_to_fit"])
+    def test_refused(self, n, k, message):
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            dataset.time_folds(n, k)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import _project_box_hyperplane
+from cryptobench.svr import KernelSpec
+
+from oracles import _project_box_hyperplane, kernel_eval
+
+RBF_E_MINUS_1 = 0.36787944117144233  # exp(-0.1 * 10)
 
 
 def _tau_interval(v, z, c_bound, n):
@@ -50,3 +54,30 @@ def test_feasible_point_is_fixed(seed):
     v = np.concatenate((alpha, rng.permutation(alpha)))
     np.testing.assert_allclose(_project_box_hyperplane(v, c_bound, n), v,
                                rtol=0.0, atol=1e-12)
+
+
+class TestKernelEval:
+    def test_rbf_at_identical_points(self):
+        x = np.array([1.0, -2.0, 3.0])
+        for gamma in (0.001, 0.1, 10.0):
+            assert kernel_eval(KernelSpec("rbf", gamma=gamma), x, x) == 1.0
+
+    def test_sigmoid_orthogonal_points(self):
+        spec = KernelSpec("sigmoid", gamma=0.5, coef0=0.0)
+        assert kernel_eval(spec, np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
+
+    def test_rbf_hand_value(self):
+        # gamma 0.1 and squared distance 10 gives exp(-1)
+        spec = KernelSpec("rbf", gamma=0.1)
+        x = np.zeros(10)
+        z = np.ones(10)
+        np.testing.assert_allclose(kernel_eval(spec, x, z), RBF_E_MINUS_1, rtol=1e-15)
+
+    def test_linear_is_dot_product(self):
+        x = np.array([1.0, 2.0])
+        z = np.array([3.0, -1.0])
+        assert kernel_eval(KernelSpec("linear"), x, z) == 1.0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            kernel_eval(KernelSpec("linear"), np.ones(2), np.ones(3))

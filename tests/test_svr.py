@@ -5,23 +5,20 @@ import numpy as np
 import pytest
 
 from cryptobench import svr
+from cryptobench.dataset import time_folds
 from cryptobench.svr import (
     ConvergenceWarning,
     GridCell,
     KernelSpec,
     SvrConfig,
     SvrModel,
-    dual_objective,
     fit,
     grid_search,
     gram_matrix,
-    kernel_eval,
     predict_batch,
 )
 
-from oracles import qp_reference_solve, smo_reference_solve
-
-RBF_E_MINUS_1 = 0.36787944117144233  # exp(-0.1 * 10)
+from oracles import dual_objective, kernel_eval, qp_reference_solve, smo_reference_solve
 
 
 def random_instance(seed, n=8, d=2, kind="rbf", gamma=0.5, spread=1.0):
@@ -50,31 +47,6 @@ def random_instance(seed, n=8, d=2, kind="rbf", gamma=0.5, spread=1.0):
 
 
 class TestKernelEval:
-    def test_rbf_at_identical_points(self):
-        x = np.array([1.0, -2.0, 3.0])
-        for gamma in (0.001, 0.1, 10.0):
-            assert kernel_eval(KernelSpec("rbf", gamma=gamma), x, x) == 1.0
-
-    def test_sigmoid_orthogonal_points(self):
-        spec = KernelSpec("sigmoid", gamma=0.5, coef0=0.0)
-        assert kernel_eval(spec, np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
-
-    def test_rbf_hand_value(self):
-        # gamma 0.1 and squared distance 10 gives exp(-1)
-        spec = KernelSpec("rbf", gamma=0.1)
-        x = np.zeros(10)
-        z = np.ones(10)
-        np.testing.assert_allclose(kernel_eval(spec, x, z), RBF_E_MINUS_1, rtol=1e-15)
-
-    def test_linear_is_dot_product(self):
-        x = np.array([1.0, 2.0])
-        z = np.array([3.0, -1.0])
-        assert kernel_eval(KernelSpec("linear"), x, z) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            kernel_eval(KernelSpec("linear"), np.ones(2), np.ones(3))
-
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             KernelSpec("poly")
@@ -321,7 +293,7 @@ class TestPredict:
         with pytest.raises(ValueError, match=message):
             fit(x, y, cfg)
         with pytest.raises(ValueError, match=message):
-            grid_search(x, y, ("rbf",), (1.0,), (10.0,), k=2)
+            grid_search(x, y, ("rbf",), (1.0,), (10.0,), folds=time_folds(len(y), 2))
         model = fit(x.reshape(-1, 1), y, cfg)
         with pytest.raises(ValueError, match=message):
             predict_batch(model, x)
@@ -381,7 +353,7 @@ class TestGridSearch:
     def test_full_grid_has_48_cells_in_order(self):
         X, y = self._data()
         grid = grid_search(X, y, ("rbf", "sigmoid", "linear"), self.GAMMAS, self.CS,
-                           k=5, epsilon=0.1, tol=1e-3)
+                           folds=time_folds(len(y), 5), epsilon=0.1, tol=1e-3)
         assert len(grid.cells) == 48
         expected = [
             (kind, gamma, c)
@@ -396,7 +368,8 @@ class TestGridSearch:
         X, y = self._data()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            grid = grid_search(X, y, ("linear",), self.GAMMAS, self.CS, k=5)
+            grid = grid_search(X, y, ("linear",), self.GAMMAS, self.CS,
+                               folds=time_folds(len(y), 5))
         by_c = {}
         for cell in grid.cells:
             by_c.setdefault(cell.c, []).append(cell.cv_mse)
@@ -417,7 +390,8 @@ class TestGridSearch:
         monkeypatch.setattr(svr, "fit", counting_fit)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            grid = grid_search(X, y, ("rbf", "sigmoid", "linear"), self.GAMMAS, self.CS, k=5)
+            grid = grid_search(X, y, ("rbf", "sigmoid", "linear"), self.GAMMAS, self.CS,
+                               folds=time_folds(len(y), 5))
         assert len(grid.cells) == 48
         kinds = calls.read_text().splitlines()
         # 16 rbf + 16 sigmoid + 4 linear (one per C) distinct cells
@@ -434,9 +408,11 @@ class TestGridSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            pooled = grid_search(X, y, kinds, self.GAMMAS, self.CS, k=5)
+            pooled = grid_search(X, y, kinds, self.GAMMAS, self.CS,
+                                 folds=time_folds(len(y), 5))
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            serial = grid_search(X, y, kinds, self.GAMMAS, self.CS, k=5)
+            serial = grid_search(X, y, kinds, self.GAMMAS, self.CS,
+                                 folds=time_folds(len(y), 5))
         assert len(serial.cells) == 48
         for a, b in zip(serial.cells, pooled.cells):
             assert a == b
@@ -453,7 +429,8 @@ class TestGridSearch:
         k = 5
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            grid = grid_search(X, y, ("rbf", "sigmoid", "linear"), self.GAMMAS, self.CS, k=k)
+            grid = grid_search(X, y, ("rbf", "sigmoid", "linear"), self.GAMMAS, self.CS,
+                               folds=time_folds(len(y), k))
             assert len(grid.cells) == 48
             distinct = {}
             for cell in grid.cells:
@@ -480,7 +457,8 @@ class TestGridSearch:
         X, y = time_feature_series(40, seed=0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            grid = grid_search(X, y, ("rbf", "linear"), (0.1, 1.0), (1.0, 1000.0), k=5)
+            grid = grid_search(X, y, ("rbf", "linear"), (0.1, 1.0), (1.0, 1000.0),
+                               folds=time_folds(len(y), 5))
         assert len(caught) == 1
         assert caught[0].category is ConvergenceWarning
         assert caught[0].filename == __file__
@@ -500,7 +478,7 @@ class TestGridSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             grid = grid_search(t, y, ("rbf", "linear"), (0.1,), (1.0, 1000.0),
-                               k=5, epsilon=0.001, tol=1e-6)
+                               folds=time_folds(len(y), 5), epsilon=0.001, tol=1e-6)
         best = grid.best
         assert best.kernel == "linear"
         assert best.c == 1000.0
@@ -512,8 +490,10 @@ class TestGridSearch:
         X, y = self._data()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
-            a = grid_search(X, y, ("rbf", "linear"), (0.1, 1.0), (1.0, 10.0), k=3)
-            b = grid_search(X, y, ("rbf", "linear"), (0.1, 1.0), (1.0, 10.0), k=3)
+            a = grid_search(X, y, ("rbf", "linear"), (0.1, 1.0), (1.0, 10.0),
+                            folds=time_folds(len(y), 3))
+            b = grid_search(X, y, ("rbf", "linear"), (0.1, 1.0), (1.0, 10.0),
+                            folds=time_folds(len(y), 3))
         assert a.cells == b.cells
         assert a.best_index == b.best_index
 
@@ -522,12 +502,9 @@ class TestGridSearch:
         # bias = mean); the first cell must win
         X = np.linspace(0, 1, 12).reshape(-1, 1)
         y = np.full(12, 0.5)
-        grid = grid_search(X, y, ("rbf", "linear"), (0.1, 1.0), (1.0, 10.0), k=3)
+        grid = grid_search(X, y, ("rbf", "linear"), (0.1, 1.0), (1.0, 10.0),
+                           folds=time_folds(len(y), 3))
         assert grid.best_index == 0
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError, match="^3 samples cannot fill 5 folds$"):
-            grid_search(np.ones((3, 1)), np.ones(3), ("linear",), (0.1,), (1.0,), k=5)
 
 
 class TestDualObjective:
