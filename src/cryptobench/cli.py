@@ -1,11 +1,11 @@
-"""Command-line entry point: prepare / run / compare / fetch.
+"""Command-line entry point: prepare / run / compare.
 
-Exit codes: 0 success, 2 input or validation failure during prepare or
-fetch, 3 model run failure, 4 missing or mismatched results during
-compare.  A ``ValueError`` (bad config, input or artifacts) or an
-``OSError`` (I/O, the network, a dead worker) prints one
-``<prepare|run X|compare|fetch> failed: <message>`` line on stderr and
-exits with its command's code; any other exception keeps its traceback.
+Exit codes: 0 success, 2 input or validation failure during prepare,
+3 model run failure, 4 missing or mismatched results during compare.
+A ``ValueError`` (bad config, input or artifacts) or an ``OSError``
+(I/O, a dead worker) prints one ``<prepare|run X|compare> failed:
+<message>`` line on stderr and exits with its command's code; any other
+exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_MISSING_RESULTS = 4
-
-FETCH_TIMEOUT_S = 30.0
 
 
 def _add_common_flags(parser: argparse.ArgumentParser):
@@ -55,10 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset to compare")
     p_cmp.add_argument("--subset-ok", action="store_true",
                        help="compare whatever results exist")
-
-    p_fetch = sub.add_parser("fetch", help="download a CSV to the input path")
-    p_fetch.add_argument("--url", required=True)
-    p_fetch.add_argument("--input", required=True, help="destination file")
     return parser
 
 
@@ -111,26 +105,11 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fetch(args) -> int:
-    # imported here: it is the slowest import of the package and only
-    # fetch needs it
-    import urllib.request
-
-    with urllib.request.urlopen(args.url, timeout=FETCH_TIMEOUT_S) as response:
-        data = response.read()
-    dest = Path(args.input)
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    dest.write_bytes(data)
-    print(f"wrote {args.input} ({len(data)} bytes)")
-    return EXIT_OK
-
-
 # command -> (handler, exit code of an expected failure)
 _COMMANDS = {
     "prepare": (_cmd_prepare, EXIT_INPUT),
     "run": (_cmd_run, EXIT_MODEL),
     "compare": (_cmd_compare, EXIT_MISSING_RESULTS),
-    "fetch": (_cmd_fetch, EXIT_INPUT),
 }
 
 

@@ -20,6 +20,9 @@ parameter vector (``LstmParams``).  Everything runs in float64 numpy.
 ``epoch_grid`` is the one training entry point: mini-batch Adam over the
 training windows in time order (no shuffling), one Adam step per batch,
 deterministic for a fixed seed, scored after every epoch.
+``predict_batch`` scores each window independently of the windows passed
+with it, so a checkpoint reloaded and scored on the test windows alone
+reproduces its recorded MSE bit for bit.
 """
 
 from __future__ import annotations
@@ -56,12 +59,14 @@ _WEIGHT_FIELDS = (
     "w_y",
 )
 
-# Windows per forward pass in ``predict_batch``; bounds the live z_t stack
-# and (4H, B) arrays whatever the number of windows.  Predicting 800
-# windows of 30 steps at H = 50 (2-vCPU Xeon, OpenBLAS on 2 threads, best
-# of 40) took 23-25 ms and raised peak RSS by 1.1 MB in chunks of 64,
-# against 23-32 ms and 2.5 MB in chunks of 128, 26-35 ms and 4.8 MB in
-# chunks of 256, and 26-30 ms and 14.6 MB in one pass.
+# Windows per forward pass in ``predict_batch``, which pads a short last
+# chunk to this width, because OpenBLAS can round a column of ``W @ z``
+# differently for a different column count.  It also bounds the live z_t
+# stack and (4H, B) arrays whatever the number of windows.  Predicting
+# 800 windows of 30 steps at H = 50 (2-vCPU Xeon, OpenBLAS on 2 threads,
+# best of 40) took 23-25 ms and raised peak RSS by 1.1 MB in chunks of
+# 64, against 23-32 ms and 2.5 MB in chunks of 128, 26-35 ms and 4.8 MB
+# in chunks of 256, and 26-30 ms and 14.6 MB in one pass.
 _PREDICT_CHUNK = 64
 
 
@@ -338,12 +343,22 @@ def adam_step(
 
 
 def predict_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
-    """Head output for each window in ``inputs`` (n, W) or (n, W, D)."""
+    """Head output for each window in ``inputs`` (n, W) or (n, W, D).
+
+    Every product runs over exactly ``_PREDICT_CHUNK`` windows, the last
+    chunk padded with zero windows, so that a window's prediction does
+    not depend on the other windows passed with it, to the last bit.
+    """
     xs = _time_major(inputs)
-    preds = np.empty(xs.shape[1])
-    for start in range(0, len(preds), _PREDICT_CHUNK):
-        stop = start + _PREDICT_CHUNK
-        preds[start:stop] = _unroll(xs[:, start:stop], params)[0]
+    steps, n, d = xs.shape
+    preds = np.empty(n)
+    for start in range(0, n, _PREDICT_CHUNK):
+        chunk = xs[:, start:start + _PREDICT_CHUNK]
+        width = chunk.shape[1]
+        if width < _PREDICT_CHUNK:
+            pad = np.zeros((steps, _PREDICT_CHUNK - width, d))
+            chunk = np.concatenate((chunk, pad), axis=1)
+        preds[start:start + width] = _unroll(chunk, params)[0][:width]
     return preds
 
 
@@ -427,17 +442,14 @@ def epoch_grid(
     more than one epoch, a forked scorer process scores each epoch but
     the last while this process trains the next one; this process
     collects epoch e's predictions before it sends epoch e + 1.  The
-    last epoch has nothing to overlap with, so when its windows span
-    more than one ``_PREDICT_CHUNK``, this process scores the first half
-    of the chunks and the scorer the rest, and the two halves are
-    joined; otherwise this process scores it whole.  On one CPU it
-    scores every epoch itself.  ``predict_batch`` cuts chunks at
-    multiples of ``_PREDICT_CHUNK`` from its first window, and the split
-    is one of them, so every window is scored in the same chunk either
-    way and the predictions, and so the history, are the same bit for
-    bit.  Code that wraps ``predict_batch`` in this process, such as
-    perfbench's ``lstm.*`` spans, then sees only this process's share of
-    the last epoch.
+    last epoch has nothing to overlap with, so this process scores the
+    first half of its windows and the scorer the rest, and the two
+    halves are joined.  On one CPU it scores every epoch itself.  A
+    window's prediction does not depend on the windows scored with it,
+    so the predictions, and so the history, are the same bit for bit
+    either way.  Code that wraps ``predict_batch`` in this process, such
+    as perfbench's ``lstm.*`` spans, then sees only this process's share
+    of the last epoch.
     """
     counts = [int(e) for e in epoch_counts]
     if not counts or any(e < 1 for e in counts):
@@ -455,8 +467,7 @@ def epoch_grid(
     n = len(data)
     eval_inputs = np.concatenate((data.inputs, test.inputs))
     eval_targets = np.concatenate((ys_all, test.targets))
-    # where the last epoch splits: after half its chunks, 0 for one chunk
-    split = math.ceil(len(eval_inputs) / _PREDICT_CHUNK) // 2 * _PREDICT_CHUNK
+    split = len(eval_inputs) // 2  # where the last epoch's scoring splits
 
     wanted = set(counts)
     snapshots: dict[int, Snapshot] = {}
@@ -487,7 +498,7 @@ def epoch_grid(
             if scorer and epoch < epochs:
                 scorer.send(0, params.vec)
                 in_flight = (epoch, params)
-            elif scorer and split:
+            elif scorer:
                 scorer.send(split, params.vec)
                 head = predict_batch(params, eval_inputs[:split])
                 record(epoch, params, np.concatenate((head, scorer.collect())))

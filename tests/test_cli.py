@@ -1,8 +1,6 @@
 import dataclasses
 import datetime
-import http.server
 import importlib
-import io
 import json
 import multiprocessing
 import os
@@ -11,15 +9,13 @@ import re
 import shutil
 import subprocess
 import sys
-import threading
-import urllib.request
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cryptobench
-from cryptobench import cli, pipeline
+from cryptobench import pipeline
 from cryptobench.cli import main
 from cryptobench.config import MODEL_NAMES, RunConfig, config_hash, load_config
 from cryptobench.dataset import make_windows
@@ -120,9 +116,9 @@ def walk_csv(path, rows, seed):
 
 
 # 100 rows at window 8: 72 train and 20 test windows, so the last epoch's
-# 92 evaluation windows span two predict chunks and are split between the
-# trainer (the first 64) and its forked scorer (the last 28)
-WALK_ROWS, SPLIT_TAIL = 100, 28
+# 92 evaluation windows are split between the trainer (the first 46) and
+# its forked scorer (the last 46)
+WALK_ROWS, SPLIT_TAIL = 100, 46
 
 
 @pytest.fixture(scope="session")
@@ -564,17 +560,14 @@ class TestCheckpointRoundTrips:
 
     @pytest.mark.parametrize("run", ["full_run", "long_lstm_run"])
     def test_lstm_checkpoint_reproduces_the_result_mse(self, run, request):
-        # the trainer scores the train and test windows in one pass, chunked
-        # from the first train window; scored the same way, the reloaded
-        # checkpoint gives the stored MSE to the last bit
+        # the reloaded checkpoint, scored on the test windows alone, gives
+        # the stored MSE to the last bit
         out = Path(request.getfixturevalue(run)[0])
         params, meta = pipeline.load_lstm_checkpoint(out / "lstm_model.json")
         prepared = pipeline.load_prepared(out)
         window = meta["window"]
-        train_ds = make_windows(prepared.train_values, window)
         tail = np.concatenate([prepared.train_values[-window:], prepared.test_values])
-        inputs = np.concatenate([train_ds.inputs, make_windows(tail, window).inputs])
-        preds_norm = lstm_mod.predict_batch(params, inputs)[len(train_ds):]
+        preds_norm = lstm_mod.predict_batch(params, make_windows(tail, window).inputs)
         result = json.loads((out / "lstm_result.json").read_text())
         assert evaluation.mse(prepared.test_values, preds_norm) == result["mse_normalized"]
 
@@ -830,59 +823,6 @@ class TestDeterminism:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-class TestFetch:
-    def test_fetch_downloads_over_http(self, tmp_path):
-        directory = str(Path(SAMPLE).parent)
-        handler = lambda *args: http.server.SimpleHTTPRequestHandler(
-            *args, directory=directory)
-        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            url = f"http://127.0.0.1:{server.server_address[1]}/{Path(SAMPLE).name}"
-            dest = tmp_path / "fetched.csv"
-            assert main(["fetch", "--url", url, "--input", str(dest)]) == 0
-            assert dest.read_bytes() == Path(SAMPLE).read_bytes()
-            out = tmp_path / "out"
-            assert main(["prepare", "--input", str(dest), "--out-dir", str(out)]) == 0
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    def test_fetch_passes_timeout(self, tmp_path, monkeypatch):
-        calls = []
-
-        def fake_urlopen(url, timeout=None):
-            calls.append((url, timeout))
-            return io.BytesIO(b"Date,Close\n")
-
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-        dest = tmp_path / "x.csv"
-        assert main(["fetch", "--url", "http://example.invalid/x.csv",
-                     "--input", str(dest)]) == 0
-        assert calls == [("http://example.invalid/x.csv", cli.FETCH_TIMEOUT_S)]
-        assert dest.read_bytes() == b"Date,Close\n"
-
-    def test_cli_import_leaves_urllib_request_unloaded(self):
-        assert "urllib.request" not in modules_after()[1]
-
-    def test_cli_import_leaves_process_pools_unloaded(self):
-        loaded = modules_after()[1]
-        assert not loaded & {"multiprocessing", "concurrent.futures"}
-
-    def test_fetch_bad_url_exits_2(self, tmp_path, capsys):
-        dest = tmp_path / "x.csv"
-        assert main(["fetch", "--url", "http://127.0.0.1:9/none.csv",
-                     "--input", str(dest)]) == 2
-        assert "fetch failed" in capsys.readouterr().err
-
-    def test_fetch_malformed_url_exits_2(self, tmp_path, capsys):
-        dest = tmp_path / "x.csv"
-        assert main(["fetch", "--url", "notaurl", "--input", str(dest)]) == 2
-        assert "fetch failed" in capsys.readouterr().err
-        assert not dest.exists()
-
-
 FAMILIES = {"cryptobench.lstm", "cryptobench.svr", "cryptobench.polyreg"}
 
 
@@ -895,6 +835,13 @@ class TestImportGraph:
         assert "numpy" not in loaded
         assert {m for m in loaded if m.startswith("cryptobench")} == {
             "cryptobench", "cryptobench.cli", "cryptobench.config"}
+
+    def test_cli_import_leaves_urllib_request_unloaded(self):
+        assert "urllib.request" not in modules_after()[1]
+
+    def test_cli_import_leaves_process_pools_unloaded(self):
+        loaded = modules_after()[1]
+        assert not loaded & {"multiprocessing", "concurrent.futures"}
 
     def test_prepare_loads_no_model_family(self, tmp_path):
         code, loaded = modules_after("prepare", "--out-dir", str(tmp_path / "out"))
