@@ -14,8 +14,9 @@ order and its columns are [h | x | 1], so the three sigmoid gates are one
 contiguous 3H-row block, tanh runs on the last H rows, and a batch of B
 windows keeps z_t as (H+D+1, B) columns: a step is one product W . z_t,
 and the reverse pass accumulates the gradient of W as one product per
-step.  W is stored as it is multiplied, as the head of the flat
-parameter vector (``LstmParams``).  Everything runs in float64 numpy.
+step.  W is stored as it is multiplied: as the head of the flat
+parameter vector (``LstmParams``), and as its 4H rows in the checkpoint.
+Everything runs in float64 numpy.
 
 ``epoch_grid`` is the one training entry point: mini-batch Adam over the
 training windows in time order (no shuffling), one Adam step per batch,
@@ -50,15 +51,6 @@ __all__ = [
     "predict_batch",
 ]
 
-# Per-gate names of the weights, in the order ``init_params`` draws them;
-# also the field names of the v1 checkpoint.  "c" is the candidate g.
-_WEIGHT_FIELDS = (
-    "w_ix", "w_fx", "w_cx", "w_ox",
-    "w_ih", "w_fh", "w_ch", "w_oh",
-    "b_i", "b_f", "b_c", "b_o",
-    "w_y",
-)
-
 # Windows per forward pass in ``predict_batch``, which pads a short last
 # chunk to this width, because OpenBLAS can round a column of ``W @ z``
 # differently for a different column count.  It also bounds the live z_t
@@ -74,36 +66,19 @@ def _vector_size(d: int, h: int) -> int:
     return 4 * h * (d + h + 1) + h + 1
 
 
-def _gate_view(name: str) -> property:
-    # name[2] is the gate, so the row block of w; the rest picks the columns
-    k = "ifoc".index(name[2])
-
-    def view(self):
-        h = self.hidden_size
-        rows = self.w[k * h:(k + 1) * h]
-        return {"h": rows[:, :h].T, "x": rows[:, h:-1].T, "": rows[:, -1]}[name[3:]]
-
-    return property(view, doc=f"``{name}``, a view of its block of ``w``")
-
-
 class LstmParams:
     """All gate weights plus the scalar output head, in one flat vector.
 
     ``vec`` holds W (4H, H+D+1) in C order, gate rows i, f, o, g and
     columns [h | x | 1] as the module docstring lays out, then w_y (H)
-    and b_y.  ``w`` and ``w_y`` are views into it, and so are the
-    per-gate checkpoint names of ``_WEIGHT_FIELDS`` (``w_cx`` is
-    ``w[3H:4H, H:H+D].T``, ``b_f`` is ``w[H:2H, -1]``, ...); writing
-    through any of them updates ``vec``.  Also serves as the container
-    for gradients, which share the layout.
+    and b_y.  ``w`` and ``w_y`` are views into it, so writing through
+    either updates ``vec``.  Also serves as the container for gradients,
+    which share the layout.
     """
-
-    (w_ix, w_fx, w_cx, w_ox, w_ih, w_fh, w_ch, w_oh,
-     b_i, b_f, b_c, b_o) = (_gate_view(name) for name in _WEIGHT_FIELDS[:-1])
 
     def __init__(self, vec: np.ndarray, input_dim: int, hidden_size: int):
         d, h = input_dim, hidden_size
-        if vec.shape != (_vector_size(d, h),):
+        if min(d, h) < 1 or vec.shape != (_vector_size(d, h),):
             raise ValueError(f"vector length {vec.size} does not match D={d}, H={h}")
         self.vec = vec
         self.input_dim = d
@@ -132,24 +107,21 @@ class LstmParams:
         return cls(np.array(vec, dtype=np.float64), input_dim, hidden_size)
 
     def to_fields(self) -> dict:
-        """The named per-gate arrays of ``_WEIGHT_FIELDS`` plus ``b_y``, as
-        lists: the ``params`` of the v1 checkpoint."""
-        fields = {name: getattr(self, name).tolist() for name in _WEIGHT_FIELDS}
-        return fields | {"b_y": self.b_y}
+        """``w`` as 4H rows of H+D+1 floats, ``w_y`` and ``b_y``: the
+        ``params`` of the checkpoint."""
+        return {"w": self.w.tolist(), "w_y": self.w_y.tolist(), "b_y": self.b_y}
 
     @classmethod
     def from_fields(cls, fields: Mapping) -> "LstmParams":
         """Build from the output of ``to_fields``; the inverse, bit for bit."""
-        d, h = np.shape(fields["w_ix"])
-        params = cls.zeros(d, h)
-        for name in _WEIGHT_FIELDS:
-            value = np.asarray(fields[name], dtype=np.float64)
-            view = getattr(params, name)
-            if value.shape != view.shape:
-                raise ValueError(f"{name} must have shape {view.shape}")
-            view[...] = value
-        params.b_y = float(fields["b_y"])
-        return params
+        parts = [np.asarray(fields[key]) for key in ("w", "w_y", "b_y")]
+        # a part of JSON numbers is an int or float array; a string or null
+        # in it, or bools alone, give another kind of array
+        if [(p.dtype.kind in "if", p.ndim) for p in parts] != [(True, 2), (True, 1), (True, 0)]:
+            raise ValueError("w, w_y and b_y must be a matrix, a vector and a number")
+        w, w_y, b_y = (p.astype(np.float64) for p in parts)
+        h = w_y.size
+        return cls(np.concatenate((w.ravel(), w_y, [b_y])), w.shape[1] - h - 1, h)
 
     @classmethod
     def zeros(cls, input_dim: int, hidden_size: int) -> "LstmParams":
@@ -212,14 +184,22 @@ class LstmConfig:
 
 
 def init_params(input_dim: int, hidden_size: int, rng: np.random.Generator) -> LstmParams:
-    """Uniform(-k, k) init with k = 1/sqrt(H); forget bias starts at 1."""
-    k = 1.0 / math.sqrt(hidden_size)
-    params = LstmParams.zeros(input_dim, hidden_size)
-    for name in _WEIGHT_FIELDS:
-        if not name.startswith("b_"):
-            view = getattr(params, name)
-            view[...] = rng.uniform(-k, k, size=view.shape)
-    params.b_f[...] = 1.0
+    """Uniform(-k, k) init with k = 1/sqrt(H); forget bias starts at 1.
+
+    The draws keep the order of the v1 checkpoint's per-gate fields, so
+    a seed gives the weights it always gave: W's x columns, then its h
+    columns, gates i, f, g, o within each, every block drawn in its
+    transposed (D, H) or (H, H) shape; then w_y.
+    """
+    d, h = input_dim, hidden_size
+    k = 1.0 / math.sqrt(h)
+    params = LstmParams.zeros(d, h)
+    for cols in (slice(h, h + d), slice(0, h)):
+        for gate in (0, 1, 3, 2):  # row blocks of i, f, g, o
+            block = params.w[gate * h:(gate + 1) * h, cols]
+            block[...] = rng.uniform(-k, k, size=block.T.shape).T
+    params.w_y[...] = rng.uniform(-k, k, size=h)
+    params.w[h:2 * h, -1] = 1.0
     return params
 
 

@@ -55,7 +55,7 @@ __all__ = [
     "MODEL_NAMES",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class PipelineError(ValueError):
@@ -111,9 +111,9 @@ def _read_json(path: Path, what: str = "artifact", fields: dict | None = None,
     missing = [key for key in fields if key not in payload]
     if missing:
         raise PipelineError(f"malformed {what} {path}: missing {', '.join(missing)}")
-    for key, kind in fields.items():
-        if kind and type(payload[key]) not in kind[0]:
-            raise PipelineError(f"malformed {what} {path}: {key} is not {kind[1]}")
+    for key, json_type in fields.items():
+        if json_type and type(payload[key]) not in json_type[0]:
+            raise PipelineError(f"malformed {what} {path}: {key} is not {json_type[1]}")
     return payload
 
 
@@ -221,9 +221,11 @@ def load_prepared(out_dir: str | Path, cfg: RunConfig | None = None) -> Prepared
                 raise PipelineError(
                     f"prepared artifacts used {key}={meta.get(key)!r} but the current "
                     f"config says {getattr(cfg, key)!r}; rerun prepare")
-    scaler = meta["scaler"]
-    if not all(type(scaler.get(key)) in _NUMBER[0] for key in ("min", "max")):
+    bounds = meta["scaler"]
+    if not all(type(bounds.get(key)) in _NUMBER[0] for key in ("min", "max")):
         raise PipelineError(f"malformed artifact {meta_path}: scaler min or max is not a number")
+    with _malformed(meta_path, "artifact"):  # a NaN or flat scaler
+        scaler = ds.ScalerParams(bounds["min"], bounds["max"])
     n_records, split_index = meta["n_records"], meta["split_index"]
     if not 0 < split_index < n_records:
         raise PipelineError(f"malformed artifact {meta_path}: split_index {split_index} "
@@ -253,7 +255,7 @@ def load_prepared(out_dir: str | Path, cfg: RunConfig | None = None) -> Prepared
     return PreparedData(
         dates=dates,
         normalized=np.array(values, dtype=np.float64),
-        scaler=ds.ScalerParams(scaler["min"], scaler["max"]),
+        scaler=scaler,
         split_index=split_index,
         fingerprint=meta["dataset_fingerprint"],
     )
@@ -568,7 +570,10 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
 # --- checkpoint loaders (round-trip of the serialized models) ----------
 
 def load_lstm_checkpoint(path: str | Path):
-    """Rebuild (LstmParams, metadata) from a checkpoint file, bit-exact."""
+    """Rebuild (LstmParams, metadata) from a checkpoint file, bit-exact.
+
+    Its ``params`` are ``LstmParams.to_fields``: W as 4H rows of H+D+1
+    numbers, the head weights ``w_y`` and the head bias ``b_y``."""
     from . import lstm as lstm_mod
 
     payload = _read_json(Path(path), "model file", {"params": _OBJECT}, "lstm")

@@ -26,16 +26,19 @@ def _sigmoid(x: float) -> float:
 
 
 def lstm_params_as_lists(params) -> dict:
-    """Convert an LstmParams-like object to nested python lists."""
-    return {
-        "w_ix": params.w_ix.tolist(), "w_fx": params.w_fx.tolist(),
-        "w_cx": params.w_cx.tolist(), "w_ox": params.w_ox.tolist(),
-        "w_ih": params.w_ih.tolist(), "w_fh": params.w_fh.tolist(),
-        "w_ch": params.w_ch.tolist(), "w_oh": params.w_oh.tolist(),
-        "b_i": params.b_i.tolist(), "b_f": params.b_f.tolist(),
-        "b_c": params.b_c.tolist(), "b_o": params.b_o.tolist(),
-        "w_y": params.w_y.tolist(), "b_y": float(params.b_y),
-    }
+    """The per-gate weights of an LstmParams-like object as nested python
+    lists: for each gate ("c" is the candidate g) its input weights
+    ``w_<gate>x`` (D, H), recurrent weights ``w_<gate>h`` (H, H) and bias
+    ``b_<gate>``, sliced from ``params.w``, whose row blocks are the gates
+    i, f, o, g and whose columns are [h | x | 1]; plus ``w_y`` and ``b_y``."""
+    h = params.hidden_size
+    p = {"w_y": params.w_y.tolist(), "b_y": float(params.b_y)}
+    for k, gate in enumerate("ifoc"):
+        rows = params.w[k * h:(k + 1) * h]
+        p[f"w_{gate}x"] = rows[:, h:-1].T.tolist()
+        p[f"w_{gate}h"] = rows[:, :h].T.tolist()
+        p[f"b_{gate}"] = rows[:, -1].tolist()
+    return p
 
 
 def lstm_scalar_cell(x, h_prev, c_prev, p):

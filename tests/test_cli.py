@@ -2,6 +2,7 @@ import dataclasses
 import datetime
 import importlib
 import json
+import math
 import multiprocessing
 import os
 import pkgutil
@@ -480,9 +481,13 @@ class TestRun:
                      lines[-1], lines[-2]]))),
         ("prepared.csv", lambda path: _set_prepared_value(path, -1, "inf")),
         ("prepared.csv", lambda path: _set_prepared_value(path, 0, "nan")),
+        ("prepare_meta.json", lambda path: path.write_text(json.dumps(
+            json.loads(path.read_text()) | {"scaler": {"min": math.nan, "max": 1.0}}))),
+        ("prepare_meta.json", lambda path: path.write_text(json.dumps(
+            json.loads(path.read_text()) | {"scaler": {"min": 1.0, "max": 1.0}}))),
     ], ids=["table_is_a_directory", "meta_without_scaler", "meta_text_scaler", "meta_list",
             "meta_split_at_end", "prepared_short_row", "prepared_truncated", "prepared_rows_swapped",
-            "prepared_inf", "prepared_nan"])
+            "prepared_inf", "prepared_nan", "meta_nan_scaler", "meta_flat_scaler"])
     def test_broken_artifact_exits_3(self, full_run, tmp_path, capsys, name, damage):
         copy, args = _private_copy(full_run, tmp_path)
         path = copy / name
@@ -623,14 +628,19 @@ class TestCheckpointRoundTrips:
         ("poly", lambda m: m | {"feature_scale": [0.0]}, IndexError),
         ("poly", lambda m: m | {"coefficients": m["coefficients"][1:]}, ValueError),
         ("lstm", lambda m: m | {"params": {k: v for k, v in m["params"].items()
-                                          if k != "w_ix"}}, KeyError),
-        ("lstm", lambda m: m | {"params": m["params"] | {"w_fx": [[0.0]]}}, ValueError),
+                                          if k != "w"}}, KeyError),
+        ("lstm", lambda m: m | {"params": m["params"] | {"w": m["params"]["w"][1:]}}, ValueError),
+        ("lstm", lambda m: m | {"params": m["params"] | {"w": [[0.0], *m["params"]["w"][1:]]}},
+         ValueError),
+        ("lstm", lambda m: m | {"params": m["params"] | {"w_y": m["params"]["w_y"][1:]}},
+         ValueError),
+        ("lstm", lambda m: m | {"params": m["params"] | {"b_y": "x"}}, ValueError),
         ("svr", lambda m: m | {"kernel": m["kernel"] | {"degree": 3}}, TypeError),
         ("svr", lambda m: m | {"kernel": m["kernel"] | {"kind": "poly"}}, ValueError),
         ("svr", lambda m: m | {"n_features": m["n_features"] + 1}, ValueError),
-    ], ids=["poly_short_scale", "poly_few_coefficients", "lstm_without_w_ix",
-            "lstm_misshapen_w_fx", "svr_extra_kernel_key", "svr_unknown_kernel",
-            "svr_wrong_n_features"])
+    ], ids=["poly_short_scale", "poly_few_coefficients", "lstm_without_w", "lstm_misshapen_w",
+            "lstm_ragged_w", "lstm_short_w_y", "lstm_text_b_y", "svr_extra_kernel_key",
+            "svr_unknown_kernel", "svr_wrong_n_features"])
     def test_malformed_model_value_is_refused(self, full_run, tmp_path, name, edit, cause):
         out, _ = full_run
         payload = json.loads((Path(out) / f"{name}_model.json").read_text())

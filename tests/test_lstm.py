@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -36,8 +37,7 @@ CELL_H = 0.36960635293570576
 
 def ones_params():
     p = LstmParams.zeros(1, 1)
-    for name in ("w_ix", "w_fx", "w_cx", "w_ox", "w_ih", "w_fh", "w_ch", "w_oh"):
-        getattr(p, name)[:] = 1.0
+    p.w[:, :-1] = 1.0
     return p
 
 
@@ -450,6 +450,8 @@ class TestEpochGrid:
 
 class TestParamsLayout:
     def test_init_draws_checkpoint_names_in_order(self):
+        # a seed gives the weights it gave when the checkpoint stored
+        # these per-gate names: each drawn in turn, in its own shape
         d, h = 2, 3
         k = 1.0 / math.sqrt(h)
         for seed in range(3):
@@ -458,28 +460,30 @@ class TestParamsLayout:
             expected = {}
             for name in ("w_ix", "w_fx", "w_cx", "w_ox", "w_ih", "w_fh", "w_ch", "w_oh", "w_y"):
                 shape = {"x": (d, h), "h": (h, h), "y": (h,)}[name[-1]]
-                expected[name] = rng.uniform(-k, k, size=shape)
-            expected |= {"b_i": np.zeros(h), "b_f": np.ones(h),
-                         "b_c": np.zeros(h), "b_o": np.zeros(h)}
-            for name, value in expected.items():
-                np.testing.assert_array_equal(getattr(params, name), value)
-            assert params.b_y == 0.0
+                expected[name] = rng.uniform(-k, k, size=shape).tolist()
+            expected |= {"b_i": [0.0] * h, "b_f": [1.0] * h,
+                         "b_c": [0.0] * h, "b_o": [0.0] * h, "b_y": 0.0}
+            assert lstm_params_as_lists(params) == expected
 
-    def test_named_views_alias_gate_blocks_of_w(self):
-        # w is (4H, H+D+1): gate rows i, f, o, g ("c"), columns [h | x | 1]
-        d, h = 2, 3
-        params = LstmParams.zeros(d, h)
-        assert params.w.shape == (4 * h, h + d + 1)
-        assert np.shares_memory(params.w, params.vec)
-        w_ox = np.arange(1.0, 7.0).reshape(d, h)
-        params.b_c[...] = [7.0, 8.0, 9.0]
-        params.w_ox[...] = w_ox
-        expected = np.zeros((4 * h, h + d + 1))
-        expected[3 * h:, -1] = [7.0, 8.0, 9.0]
-        expected[2 * h:3 * h, h:h + d] = w_ox.T
-        np.testing.assert_array_equal(params.w, expected)
-        np.testing.assert_array_equal(params.vec[:expected.size], expected.ravel())
-        np.testing.assert_array_equal(params.vec[expected.size:], 0.0)
+    def test_checkpoint_fields_are_w_w_y_and_b_y(self):
+        params = random_params(2, 3, 0)
+        params.b_y = 0.25
+        fields = params.to_fields()
+        assert fields == {"w": params.w.tolist(), "w_y": params.w_y.tolist(), "b_y": 0.25}
+        back = LstmParams.from_fields(json.loads(json.dumps(fields)))
+        assert (back.input_dim, back.hidden_size) == (2, 3)
+        assert back.vec.tobytes() == params.vec.tobytes()
+
+    @pytest.mark.parametrize("key, value", [
+        ("w", [[0.0] * 6] * 11 + [[0.0] * 5]), ("w", [[0.0] * 3] * 12), ("w", [0.0] * 72),
+        ("w", [[0.0] * 6] * 11 + [[None] * 6]), ("w_y", [0.0, 0.0]), ("w_y", [[0.0] * 3]),
+        ("w_y", [True, False, True]), ("b_y", "0.5"), ("b_y", [0.5]), ("b_y", None),
+    ], ids=["ragged_w", "w_without_x_columns", "flat_w", "w_with_nulls", "short_w_y",
+            "nested_w_y", "bool_w_y", "text_b_y", "b_y_in_a_list", "null_b_y"])
+    def test_from_fields_refuses_a_malformed_part(self, key, value):
+        fields = random_params(2, 3, 0).to_fields() | {key: value}
+        with pytest.raises(ValueError):
+            LstmParams.from_fields(fields)
 
 
 # the range each LstmConfig field must lie in, as its error message says
