@@ -20,7 +20,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -241,16 +241,14 @@ def _rows(reader):
         raise DatasetError(f"row {row_no + 1}: {exc}") from exc
 
 
-def parse_csv(source: str | Iterable[str]) -> PriceSeries:
-    """Parse OHLCV CSV text (a string or an iterable of lines).
+def parse_csv(text: str) -> PriceSeries:
+    """Parse OHLCV CSV text.
 
     Numeric fields that are empty or unparseable become ``None`` on the
     record; dropping such rows is ``clean``'s job.  Comment lines
     starting with ``#`` before the header are skipped.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
+    reader = csv.reader(io.StringIO(text))
 
     header_map = None
     date_format: str | None = None

@@ -32,7 +32,7 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,30 +98,10 @@ class LstmParams:
     def n_params(self) -> int:
         return self.vec.size
 
-    def to_vector(self) -> np.ndarray:
-        """A copy of the flat parameter vector."""
-        return self.vec.copy()
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, input_dim: int, hidden_size: int) -> "LstmParams":
-        return cls(np.array(vec, dtype=np.float64), input_dim, hidden_size)
-
     def to_fields(self) -> dict:
         """``w`` as 4H rows of H+D+1 floats, ``w_y`` and ``b_y``: the
         ``params`` of the checkpoint."""
         return {"w": self.w.tolist(), "w_y": self.w_y.tolist(), "b_y": self.b_y}
-
-    @classmethod
-    def from_fields(cls, fields: Mapping) -> "LstmParams":
-        """Build from the output of ``to_fields``; the inverse, bit for bit."""
-        parts = [np.asarray(fields[key]) for key in ("w", "w_y", "b_y")]
-        # a part of JSON numbers is an int or float array; a string or null
-        # in it, or bools alone, give another kind of array
-        if [(p.dtype.kind in "if", p.ndim) for p in parts] != [(True, 2), (True, 1), (True, 0)]:
-            raise ValueError("w, w_y and b_y must be a matrix, a vector and a number")
-        w, w_y, b_y = (p.astype(np.float64) for p in parts)
-        h = w_y.size
-        return cls(np.concatenate((w.ravel(), w_y, [b_y])), w.shape[1] - h - 1, h)
 
     @classmethod
     def zeros(cls, input_dim: int, hidden_size: int) -> "LstmParams":

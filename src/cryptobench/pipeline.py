@@ -23,7 +23,7 @@ reruns with the same config are byte-identical.
 sweep and refit and returns tables, model fields, its winning config and
 normalized test predictions; the stamping, the scoring on both scales
 and the result file are shared.  A family's module is imported by the
-functions that run or load it, so each command loads only its own.
+function that runs it, so each command loads only its own.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ __all__ = [
     "run_model",
     "run_compare",
     "load_prepared",
-    "load_lstm_checkpoint",
-    "load_svr_model",
-    "load_poly_model",
     "MODEL_NAMES",
 ]
 
@@ -85,18 +82,11 @@ def _write_json(path: Path, payload: dict):
 # bools, and a bool is an int to isinstance
 _STRING, _INTEGER = ((str,), "a string"), ((int,), "an integer")
 _NUMBER, _OBJECT = ((int, float), "a number"), ((dict,), "an object")
-_ARRAY, _BOOLEAN = ((list,), "an array"), ((bool,), "a boolean")
-
-# the model file of each ``kind``, as the loaders name it
-_MODEL_FILES = {"lstm": "an LSTM checkpoint", "svr": "an SVR model file",
-                "poly": "a polynomial model file"}
 
 
-def _read_json(path: Path, what: str = "artifact", fields: dict | None = None,
-               kind: str | None = None) -> dict:
+def _read_json(path: Path, what: str = "artifact", fields: dict | None = None) -> dict:
     """The JSON object in the ``what`` file ``path``, which must hold each
-    key of ``fields`` with a value of its type (any where it maps to None)
-    and, with ``kind``, be that kind of model file."""
+    key of ``fields`` with a value of its type (any where it maps to None)."""
     if not path.exists():
         raise PipelineError(f"missing artifact: {path}")
     try:
@@ -105,8 +95,6 @@ def _read_json(path: Path, what: str = "artifact", fields: dict | None = None,
         raise PipelineError(f"unreadable artifact {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise PipelineError(f"malformed {what} {path}: not a JSON object")
-    if kind and payload.get("kind") != kind:
-        raise PipelineError(f"{path} is not {_MODEL_FILES[kind]}")
     fields = fields or {}
     missing = [key for key in fields if key not in payload]
     if missing:
@@ -565,55 +553,3 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
                 path.unlink()
         raise
     return report
-
-
-# --- checkpoint loaders (round-trip of the serialized models) ----------
-
-def load_lstm_checkpoint(path: str | Path):
-    """Rebuild (LstmParams, metadata) from a checkpoint file, bit-exact.
-
-    Its ``params`` are ``LstmParams.to_fields``: W as 4H rows of H+D+1
-    numbers, the head weights ``w_y`` and the head bias ``b_y``."""
-    from . import lstm as lstm_mod
-
-    payload = _read_json(Path(path), "model file", {"params": _OBJECT}, "lstm")
-    with _malformed(path, "model file"):
-        return lstm_mod.LstmParams.from_fields(payload["params"]), payload
-
-
-def load_svr_model(path: str | Path):
-    from . import svr as svr_mod
-
-    payload = _read_json(Path(path), "model file", {
-        "kernel": _OBJECT, "n_features": _INTEGER, "support_vectors": _ARRAY,
-        "dual_coefs": _ARRAY, "bias": _NUMBER, "converged": _BOOLEAN,
-        "n_iter": _INTEGER, "kkt_violation": _NUMBER}, "svr")
-    with _malformed(path, "model file"):
-        sv = np.array(payload["support_vectors"], dtype=np.float64)
-        sv = sv.reshape(len(payload["dual_coefs"]), payload["n_features"])
-        model = svr_mod.SvrModel(
-            support_vectors=sv,
-            dual_coefs=np.array(payload["dual_coefs"], dtype=np.float64),
-            bias=float(payload["bias"]),
-            kernel=svr_mod.KernelSpec(**payload["kernel"]),
-            converged=payload["converged"],
-            n_iter=payload["n_iter"],
-            kkt_violation=float(payload["kkt_violation"]),
-        )
-    return model, payload
-
-
-def load_poly_model(path: str | Path):
-    from . import polyreg
-
-    payload = _read_json(Path(path), "model file", {
-        "degree": _INTEGER, "intercept": _NUMBER, "coefficients": _ARRAY,
-        "feature_scale": _ARRAY}, "poly")
-    with _malformed(path, "model file"):
-        model = polyreg.PolyModel(
-            degree=payload["degree"],
-            intercept=float(payload["intercept"]),
-            coefficients=np.array(payload["coefficients"], dtype=np.float64),
-            feature_scale=tuple(payload["feature_scale"]),
-        )
-    return model, payload

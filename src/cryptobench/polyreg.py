@@ -106,10 +106,7 @@ def predict(model: PolyModel, x):
     result = np.zeros_like(x_scaled)
     for coef in model.coefficients[::-1]:
         result = result * x_scaled + coef
-    result = result * x_scaled + model.intercept
-    if result.ndim == 0:
-        return float(result)
-    return result
+    return result * x_scaled + model.intercept
 
 
 def degree_sweep(

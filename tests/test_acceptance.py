@@ -56,14 +56,14 @@ def test_criterion_1_lstm_gradient_check():
         params = lstm_mod.init_params(1, hidden, np.random.default_rng(1000 + seed))
         window = np.random.default_rng(2000 + seed).normal(size=window_len) * 0.8
         target = float(np.random.default_rng(3000 + seed).normal())
-        analytic = gradient(window, target, params).to_vector()
+        analytic = gradient(window, target, params).vec
 
         def loss(theta, _w=window, _t=target, _h=hidden):
-            candidate = LstmParams.from_vector(theta, 1, _h)
+            candidate = LstmParams(theta, 1, _h)
             pred = forward(_w, candidate)
             return (pred - _t) ** 2
 
-        numeric = central_difference_gradient(loss, params.to_vector(), step=1e-6)
+        numeric = central_difference_gradient(loss, params.vec, step=1e-6)
         worst = max(worst, float(relative_mismatch(analytic, numeric).max()))
         assert worst < 1e-5, f"seed {seed}: worst relative mismatch {worst:.3e}"
     elapsed = time.monotonic() - start
@@ -88,9 +88,9 @@ def test_criterion_2_zero_weight_identity():
 def test_criterion_3_adam_first_step():
     """Unit gradient from a fresh state moves by -0.001/(1+1e-8) +- 1e-12."""
     params = LstmParams.zeros(1, 1)
-    grads = LstmParams.from_vector(np.ones(params.n_params), 1, 1)
+    grads = LstmParams(np.ones(params.n_params), 1, 1)
     updated, state = adam_step(params, grads, AdamState.fresh(params.n_params))
-    delta = updated.to_vector()
+    delta = updated.vec
     expected = -0.001 / (1.0 + 1e-8)
     assert np.all(np.abs(delta - expected) <= 1e-12)
     assert state.t == 1

@@ -6,7 +6,6 @@ import math
 import multiprocessing
 import os
 import pkgutil
-import re
 import shutil
 import subprocess
 import sys
@@ -19,6 +18,7 @@ import cryptobench
 from cryptobench import pipeline
 from cryptobench.cli import main
 from cryptobench.config import MODEL_NAMES, RunConfig, config_hash, load_config
+from cryptobench import dataset
 from cryptobench.dataset import make_windows
 from cryptobench import evaluation
 from cryptobench import lstm as lstm_mod
@@ -135,6 +135,22 @@ def long_lstm_run(tmp_path_factory, small_ini):
         assert main(["prepare", *base]) == 0
         assert main(["run", "lstm", *base]) == 0
     return out, base
+
+
+@pytest.fixture(scope="session")
+def sample_lstm_run(tmp_path_factory):
+    """``run lstm`` on the bundled sample at the default hidden size
+    (50), for two epochs.  Its 12 test windows are a column count at
+    which OpenBLAS can round a column of ``W @ z`` differently from a
+    wider product, so scoring them alone shows whether predictions
+    depend on the batch."""
+    root = tmp_path_factory.mktemp("sample_lstm")
+    ini = root / "lstm.ini"
+    ini.write_text("[lstm]\nepochs = 1, 2\n")
+    base = ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(root / "out")]
+    assert main(["prepare", *base]) == 0
+    assert main(["run", "lstm", *base]) == 0
+    return root / "out"
 
 
 def _private_copy(full_run, tmp_path):
@@ -303,9 +319,6 @@ class TestRun:
         assert isinstance(model["kkt_violation"], float)
         if model["converged"]:
             assert model["kkt_violation"] <= RunConfig().svr_tol
-        loaded, _ = pipeline.load_svr_model(Path(out) / "svr_model.json")
-        assert loaded.n_iter == model["n_iter"]
-        assert loaded.kkt_violation == model["kkt_violation"]
 
     def test_lstm_outputs(self, full_run):
         out, _ = full_run
@@ -510,16 +523,12 @@ class TestRun:
         monkeypatch.setattr(polyreg, "fit", counting_fit)
         assert main(["run", "poly", "--out-dir", out]) == 0
         assert [m.degree for m in fits] == list(RunConfig().poly_degrees)
-        model, _ = pipeline.load_poly_model(Path(out) / "poly_model.json")
-        swept = next(m for m in fits if m.degree == model.degree)
-        assert model.coefficients.tobytes() == swept.coefficients.tobytes()
-        assert (np.float64([model.intercept, *model.feature_scale]).tobytes()
+        model = json.loads((Path(out) / "poly_model.json").read_text())
+        swept = next(m for m in fits if m.degree == model["degree"])
+        assert np.float64(model["coefficients"]).tobytes() == swept.coefficients.tobytes()
+        assert (np.float64([model["intercept"], *model["feature_scale"]]).tobytes()
                 == np.float64([swept.intercept, *swept.feature_scale]).tobytes())
 
-
-# The loader of each family's model file.
-LOADERS = {"lstm": pipeline.load_lstm_checkpoint, "svr": pipeline.load_svr_model,
-           "poly": pipeline.load_poly_model}
 
 # What ``run_model`` writes for each family, beyond its model and result files.
 FAMILY_ARTIFACTS = {
@@ -549,118 +558,58 @@ class TestRunModelStamps:
         assert model["scaler"] == meta["scaler"]
 
 
-class TestCheckpointRoundTrips:
-    def test_lstm_checkpoint_reproduces_predictions(self, full_run, small_ini):
-        out, _ = full_run
-        params, meta = pipeline.load_lstm_checkpoint(Path(out) / "lstm_model.json")
-        prepared = pipeline.load_prepared(out)
-        window = meta["window"]
-        tail = np.concatenate([prepared.train_values[-window:], prepared.test_values])
-        test_ds = make_windows(tail, window)
-        preds_norm = lstm_mod.predict_batch(params, test_ds.inputs)
-        preds_raw = preds_norm * (meta["scaler"]["max"] - meta["scaler"]["min"]) + meta["scaler"]["min"]
-        result = json.loads((Path(out) / "lstm_result.json").read_text())
-        stored = [p["predicted"] for p in result["predictions"]]
-        np.testing.assert_array_equal(preds_raw, stored)
+def _test_windows(prepared, window):
+    """The test slice's windows, the last ``window`` train values first."""
+    tail = np.concatenate([prepared.train_values[-window:], prepared.test_values])
+    return make_windows(tail, window).inputs
 
-    @pytest.mark.parametrize("run", ["full_run", "long_lstm_run"])
-    def test_lstm_checkpoint_reproduces_the_result_mse(self, run, request):
-        # the reloaded checkpoint, scored on the test windows alone, gives
-        # the stored MSE to the last bit
-        out = Path(request.getfixturevalue(run)[0])
-        params, meta = pipeline.load_lstm_checkpoint(out / "lstm_model.json")
-        prepared = pipeline.load_prepared(out)
-        window = meta["window"]
-        tail = np.concatenate([prepared.train_values[-window:], prepared.test_values])
-        preds_norm = lstm_mod.predict_batch(params, make_windows(tail, window).inputs)
-        result = json.loads((out / "lstm_result.json").read_text())
-        assert evaluation.mse(prepared.test_values, preds_norm) == result["mse_normalized"]
 
-    def test_svr_model_reproduces_predictions(self, full_run):
-        out, _ = full_run
-        model, meta = pipeline.load_svr_model(Path(out) / "svr_model.json")
-        prepared = pipeline.load_prepared(out)
+def predict_from_model_file(out, name, prepared):
+    """Normalized predictions for the ``prepared`` test slice by the model
+    that ``{name}_model.json`` in ``out`` holds, rebuilt from the file's
+    fields, and those fields."""
+    fields = json.loads((out / f"{name}_model.json").read_text())
+    split = prepared.split_index
+    if name == "lstm":
+        parts = fields["params"]
+        vec = np.concatenate([np.ravel(parts["w"]), parts["w_y"], [parts["b_y"]]])
+        params = lstm_mod.LstmParams(vec, fields["input_dim"], fields["hidden_size"])
+        return lstm_mod.predict_batch(params, _test_windows(prepared, fields["window"])), fields
+    if name == "svr":
+        model = svr_mod.SvrModel(
+            support_vectors=np.reshape(fields["support_vectors"], (-1, fields["n_features"])),
+            dual_coefs=np.array(fields["dual_coefs"]), bias=fields["bias"],
+            kernel=svr_mod.KernelSpec(**fields["kernel"]))
         n = len(prepared.normalized)
-        t = (np.arange(n) / (n - 1)).reshape(-1, 1)
-        preds_norm = svr_mod.predict_batch(model, t[prepared.split_index:])
-        preds_raw = preds_norm * (meta["scaler"]["max"] - meta["scaler"]["min"]) + meta["scaler"]["min"]
-        result = json.loads((Path(out) / "svr_result.json").read_text())
-        stored = [p["predicted"] for p in result["predictions"]]
-        np.testing.assert_array_equal(preds_raw, stored)
+        x_test = ((np.arange(n) / (n - 1)).reshape(-1, 1)[split:]
+                  if fields["features"] == "time"
+                  else _test_windows(prepared, fields["n_features"]))
+        return svr_mod.predict_batch(model, x_test), fields
+    model = polyreg.PolyModel(
+        degree=fields["degree"], intercept=fields["intercept"],
+        coefficients=np.array(fields["coefficients"]),
+        feature_scale=tuple(fields["feature_scale"]))
+    xs = np.arange(len(prepared.normalized), dtype=np.float64)
+    return polyreg.predict(model, xs[split:]), fields
 
-    def test_svr_window_model_reproduces_predictions(self, window_svr_run):
-        model, meta = pipeline.load_svr_model(window_svr_run / "svr_model.json")
-        prepared = pipeline.load_prepared(window_svr_run)
-        window = meta["n_features"]
-        tail = np.concatenate([prepared.train_values[-window:], prepared.test_values])
-        test_ds = make_windows(tail, window)
-        preds_norm = svr_mod.predict_batch(model, test_ds.inputs)
-        preds_raw = preds_norm * (meta["scaler"]["max"] - meta["scaler"]["min"]) + meta["scaler"]["min"]
-        result = json.loads((window_svr_run / "svr_result.json").read_text())
-        stored = [p["predicted"] for p in result["predictions"]]
-        np.testing.assert_array_equal(preds_raw, stored)
 
-    def test_svr_model_without_diagnostics_is_refused(self, full_run, tmp_path):
-        out, _ = full_run
-        payload = json.loads((Path(out) / "svr_model.json").read_text())
-        del payload["n_iter"], payload["kkt_violation"]
-        path = tmp_path / "svr_model.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(pipeline.PipelineError, match=(
-                f"^malformed model file {re.escape(str(path))}: missing n_iter, kkt_violation$")):
-            pipeline.load_svr_model(path)
-
-    @pytest.mark.parametrize("name, key, value, kind", [
-        ("lstm", "params", [], "an object"),
-        ("svr", "converged", 1, "a boolean"),
-        ("poly", "degree", 3.0, "an integer"),
-    ], ids=MODEL_NAMES)
-    def test_mistyped_model_field_is_refused(self, full_run, tmp_path, name, key, value, kind):
-        out, _ = full_run
-        payload = json.loads((Path(out) / f"{name}_model.json").read_text())
-        path = tmp_path / f"{name}_model.json"
-        path.write_text(json.dumps(payload | {key: value}))
-        with pytest.raises(pipeline.PipelineError, match=(
-                f"^malformed model file {re.escape(str(path))}: {key} is not {kind}$")):
-            LOADERS[name](path)
-
-    @pytest.mark.parametrize("name, edit, cause", [
-        ("poly", lambda m: m | {"feature_scale": [0.0]}, IndexError),
-        ("poly", lambda m: m | {"coefficients": m["coefficients"][1:]}, ValueError),
-        ("lstm", lambda m: m | {"params": {k: v for k, v in m["params"].items()
-                                          if k != "w"}}, KeyError),
-        ("lstm", lambda m: m | {"params": m["params"] | {"w": m["params"]["w"][1:]}}, ValueError),
-        ("lstm", lambda m: m | {"params": m["params"] | {"w": [[0.0], *m["params"]["w"][1:]]}},
-         ValueError),
-        ("lstm", lambda m: m | {"params": m["params"] | {"w_y": m["params"]["w_y"][1:]}},
-         ValueError),
-        ("lstm", lambda m: m | {"params": m["params"] | {"b_y": "x"}}, ValueError),
-        ("svr", lambda m: m | {"kernel": m["kernel"] | {"degree": 3}}, TypeError),
-        ("svr", lambda m: m | {"kernel": m["kernel"] | {"kind": "poly"}}, ValueError),
-        ("svr", lambda m: m | {"n_features": m["n_features"] + 1}, ValueError),
-    ], ids=["poly_short_scale", "poly_few_coefficients", "lstm_without_w", "lstm_misshapen_w",
-            "lstm_ragged_w", "lstm_short_w_y", "lstm_text_b_y", "svr_extra_kernel_key",
-            "svr_unknown_kernel", "svr_wrong_n_features"])
-    def test_malformed_model_value_is_refused(self, full_run, tmp_path, name, edit, cause):
-        out, _ = full_run
-        payload = json.loads((Path(out) / f"{name}_model.json").read_text())
-        path = tmp_path / f"{name}_model.json"
-        path.write_text(json.dumps(edit(payload)))
-        with pytest.raises(pipeline.PipelineError, match=(
-                f"^malformed model file {re.escape(str(path))}: ")) as caught:
-            LOADERS[name](path)
-        assert type(caught.value.__cause__) is cause
-
-    def test_poly_model_reproduces_predictions(self, full_run):
-        out, _ = full_run
-        model, meta = pipeline.load_poly_model(Path(out) / "poly_model.json")
+class TestModelFileRoundTrip:
+    @pytest.mark.parametrize("run, name", [
+        ("full_run", "lstm"), ("long_lstm_run", "lstm"), ("sample_lstm_run", "lstm"),
+        ("full_run", "svr"), ("window_svr_run", "svr"), ("full_run", "poly"),
+    ])
+    def test_model_file_reproduces_the_result(self, run, name, request):
+        # the rebuilt model, scoring the test windows alone, gives the
+        # stored predictions and MSE to the last bit
+        out = request.getfixturevalue(run)
+        out = Path(out[0] if isinstance(out, tuple) else out)
         prepared = pipeline.load_prepared(out)
-        xs = np.arange(len(prepared.normalized), dtype=np.float64)
-        preds_norm = np.asarray(polyreg.predict(model, xs[prepared.split_index:]))
-        preds_raw = preds_norm * (meta["scaler"]["max"] - meta["scaler"]["min"]) + meta["scaler"]["min"]
-        result = json.loads((Path(out) / "poly_result.json").read_text())
-        stored = [p["predicted"] for p in result["predictions"]]
-        np.testing.assert_array_equal(preds_raw, stored)
+        preds_norm, fields = predict_from_model_file(out, name, prepared)
+        scaler = dataset.ScalerParams(**fields["scaler"])
+        result = json.loads((out / f"{name}_result.json").read_text())
+        np.testing.assert_array_equal(dataset.inverse_scale(preds_norm, scaler),
+                                      [p["predicted"] for p in result["predictions"]])
+        assert evaluation.mse(prepared.test_values, preds_norm) == result["mse_normalized"]
 
 
 class TestCompare:

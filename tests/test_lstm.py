@@ -166,7 +166,7 @@ class TestBpttGradients:
         window = np.array([0.2, -0.4, 0.9])
         pred = forward(window, p)
         grads = gradient(window, pred, p)
-        assert np.all(grads.to_vector() == 0.0)
+        assert np.all(grads.vec == 0.0)
 
     def test_head_bias_gradient(self):
         p = random_params(1, 4, seed=2)
@@ -183,14 +183,14 @@ class TestBpttGradients:
         p = random_params(1, 3, seed=1031)
         window = np.random.default_rng(2031).normal(size=4) * 0.8
         target = float(np.random.default_rng(3031).normal())
-        analytic = gradient(window, target, p).to_vector()
+        analytic = gradient(window, target, p).vec
 
         def loss(theta):
-            q = LstmParams.from_vector(theta, 1, 3)
+            q = LstmParams(theta, 1, 3)
             pred = forward(window, q)
             return (pred - target) ** 2
 
-        numeric = central_difference_gradient(loss, p.to_vector(), step=1e-6)
+        numeric = central_difference_gradient(loss, p.vec, step=1e-6)
         assert float(relative_mismatch(analytic, numeric).max()) < 1e-5
 
     def test_batch_kernel_is_mean_of_per_sample(self):
@@ -200,9 +200,9 @@ class TestBpttGradients:
         targets = rng.normal(size=5)
         grads, loss = lstm._batch_grads(lstm._time_major(inputs), targets, p)
         per_sample = np.mean(
-            [gradient(inputs[k], targets[k], p).to_vector() for k in range(5)],
+            [gradient(inputs[k], targets[k], p).vec for k in range(5)],
             axis=0)
-        np.testing.assert_allclose(grads.to_vector(), per_sample, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grads.vec, per_sample, rtol=1e-12, atol=1e-15)
         preds = lstm.predict_batch(p, inputs)
         expected_loss = float(np.mean((preds - targets) ** 2))
         np.testing.assert_allclose(loss, expected_loss, rtol=1e-12)
@@ -215,21 +215,21 @@ class TestBpttGradients:
         targets = rng.normal(size=6)
         grads, _ = lstm._batch_grads(lstm._time_major(inputs), targets, p)
         per_sample = np.mean(
-            [gradient(inputs[k], targets[k], p).to_vector() for k in range(6)],
+            [gradient(inputs[k], targets[k], p).vec for k in range(6)],
             axis=0)
-        np.testing.assert_allclose(grads.to_vector(), per_sample, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grads.vec, per_sample, rtol=1e-12, atol=1e-15)
 
     def test_two_feature_gradients_match_finite_differences(self):
         p = random_params(2, 3, seed=1033)
         window = np.random.default_rng(2033).normal(size=(4, 2)) * 0.8
         target = float(np.random.default_rng(3033).normal())
-        analytic = gradient(window, target, p).to_vector()
+        analytic = gradient(window, target, p).vec
 
         def loss(theta):
-            pred = forward(window, LstmParams.from_vector(theta, 2, 3))
+            pred = forward(window, LstmParams(theta, 2, 3))
             return (pred - target) ** 2
 
-        numeric = central_difference_gradient(loss, p.to_vector(), step=1e-6)
+        numeric = central_difference_gradient(loss, p.vec, step=1e-6)
         assert float(relative_mismatch(analytic, numeric).max()) < 1e-5
 
     def test_ragged_final_batch(self):
@@ -246,9 +246,9 @@ class TestBpttGradients:
             expected_loss = float(np.mean((np.array(preds) - targets[batch]) ** 2))
             np.testing.assert_allclose(loss, expected_loss, rtol=1e-12)
             per_sample = np.mean(
-                [gradient(window, target, p).to_vector()
+                [gradient(window, target, p).vec
                  for window, target in zip(inputs[batch], targets[batch])], axis=0)
-            np.testing.assert_allclose(grads.to_vector(), per_sample,
+            np.testing.assert_allclose(grads.vec, per_sample,
                                        rtol=1e-12, atol=1e-15)
 
 
@@ -283,15 +283,15 @@ class TestAdam:
         p = random_params(1, 3, seed=1)
         state = AdamState.fresh(p.n_params)
         updated, new_state = adam_step(p, LstmParams.zeros(1, 3), state)
-        np.testing.assert_array_equal(updated.to_vector(), p.to_vector())
+        np.testing.assert_array_equal(updated.vec, p.vec)
         assert new_state.t == 1
 
     def test_first_step_delta(self):
         p = LstmParams.zeros(1, 2)
-        grads = LstmParams.from_vector(np.ones(p.n_params), 1, 2)
+        grads = LstmParams(np.ones(p.n_params), 1, 2)
         state = AdamState.fresh(p.n_params)
         updated, new_state = adam_step(p, grads, state)
-        delta = updated.to_vector() - p.to_vector()
+        delta = updated.vec - p.vec
         np.testing.assert_allclose(delta, -0.001 / (1.0 + 1e-8), atol=1e-12)
         assert np.all(new_state.v >= 0.0)
 
@@ -309,11 +309,11 @@ class TestAdam:
         # -lr * m_hat / (sqrt(v_hat) + eps), which negates bitwise with g
         p = LstmParams.zeros(1, 3)
         g = np.random.default_rng(9).normal(size=p.n_params)
-        grads_pos = LstmParams.from_vector(g, 1, 3)
-        grads_neg = LstmParams.from_vector(-g, 1, 3)
+        grads_pos = LstmParams(g, 1, 3)
+        grads_neg = LstmParams(-g, 1, 3)
         up_pos, _ = adam_step(p, grads_pos, AdamState.fresh(p.n_params))
         up_neg, _ = adam_step(p, grads_neg, AdamState.fresh(p.n_params))
-        np.testing.assert_array_equal(up_pos.to_vector(), -up_neg.to_vector())
+        np.testing.assert_array_equal(up_pos.vec, -up_neg.vec)
 
 
 def constant_dataset(value, n=60, window=5):
@@ -327,8 +327,8 @@ class TestTrain:
         _, snaps_a, hist_a = epoch_grid(data, data, [3], seed=7, hyper=cfg)
         _, snaps_b, hist_b = epoch_grid(data, data, [3], seed=7, hyper=cfg)
         assert hist_a == hist_b
-        np.testing.assert_array_equal(snaps_a[3].params.to_vector(),
-                                      snaps_b[3].params.to_vector())
+        np.testing.assert_array_equal(snaps_a[3].params.vec,
+                                      snaps_b[3].params.vec)
 
     def test_seed_changes_history(self):
         data = make_windows(np.sin(np.linspace(0, 6, 40)), 6)
@@ -445,7 +445,7 @@ class TestEpochGrid:
             _, alone, history = epoch_grid(data, data, [count], seed=11, hyper=cfg)
             assert history[-1].test_mse == mse
             np.testing.assert_array_equal(
-                snapshots[count].params.to_vector(), alone[count].params.to_vector())
+                snapshots[count].params.vec, alone[count].params.vec)
 
 
 class TestParamsLayout:
@@ -468,22 +468,10 @@ class TestParamsLayout:
     def test_checkpoint_fields_are_w_w_y_and_b_y(self):
         params = random_params(2, 3, 0)
         params.b_y = 0.25
-        fields = params.to_fields()
+        fields = json.loads(json.dumps(params.to_fields()))
         assert fields == {"w": params.w.tolist(), "w_y": params.w_y.tolist(), "b_y": 0.25}
-        back = LstmParams.from_fields(json.loads(json.dumps(fields)))
-        assert (back.input_dim, back.hidden_size) == (2, 3)
-        assert back.vec.tobytes() == params.vec.tobytes()
-
-    @pytest.mark.parametrize("key, value", [
-        ("w", [[0.0] * 6] * 11 + [[0.0] * 5]), ("w", [[0.0] * 3] * 12), ("w", [0.0] * 72),
-        ("w", [[0.0] * 6] * 11 + [[None] * 6]), ("w_y", [0.0, 0.0]), ("w_y", [[0.0] * 3]),
-        ("w_y", [True, False, True]), ("b_y", "0.5"), ("b_y", [0.5]), ("b_y", None),
-    ], ids=["ragged_w", "w_without_x_columns", "flat_w", "w_with_nulls", "short_w_y",
-            "nested_w_y", "bool_w_y", "text_b_y", "b_y_in_a_list", "null_b_y"])
-    def test_from_fields_refuses_a_malformed_part(self, key, value):
-        fields = random_params(2, 3, 0).to_fields() | {key: value}
-        with pytest.raises(ValueError):
-            LstmParams.from_fields(fields)
+        vec = np.concatenate([np.ravel(fields["w"]), fields["w_y"], [fields["b_y"]]])
+        assert vec.tobytes() == params.vec.tobytes()
 
 
 # the range each LstmConfig field must lie in, as its error message says
