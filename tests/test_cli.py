@@ -593,23 +593,45 @@ def predict_from_model_file(out, name, prepared):
     return polyreg.predict(model, xs[split:]), fields
 
 
+def reproduce_from_model_file(run, name, request):
+    """The ``run`` fixture's ``{name}`` predictions and normalized MSE from
+    the rebuilt model, next to those that its result file stores."""
+    out = request.getfixturevalue(run)
+    out = Path(out[0] if isinstance(out, tuple) else out)
+    prepared = pipeline.load_prepared(out)
+    preds_norm, fields = predict_from_model_file(out, name, prepared)
+    scaler = dataset.ScalerParams(**fields["scaler"])
+    result = json.loads((out / f"{name}_result.json").read_text())
+    return ((dataset.inverse_scale(preds_norm, scaler),
+             [p["predicted"] for p in result["predictions"]]),
+            (evaluation.mse(prepared.test_values, preds_norm), result["mse_normalized"]))
+
+
+class TestCheckpointRoundTrips:
+    def test_lstm_checkpoint_reproduces_predictions(self, request):
+        (rebuilt, stored), _ = reproduce_from_model_file("full_run", "lstm", request)
+        np.testing.assert_array_equal(rebuilt, stored)
+
+    @pytest.mark.parametrize("run", ["full_run"])
+    def test_lstm_checkpoint_reproduces_the_result_mse(self, run, request):
+        # the rebuilt checkpoint, scoring the test windows alone, gives the
+        # stored MSE to the last bit
+        _, (rebuilt, stored) = reproduce_from_model_file(run, "lstm", request)
+        assert rebuilt == stored
+
+
 class TestModelFileRoundTrip:
     @pytest.mark.parametrize("run, name", [
-        ("full_run", "lstm"), ("long_lstm_run", "lstm"), ("sample_lstm_run", "lstm"),
+        ("long_lstm_run", "lstm"), ("sample_lstm_run", "lstm"),
         ("full_run", "svr"), ("window_svr_run", "svr"), ("full_run", "poly"),
     ])
     def test_model_file_reproduces_the_result(self, run, name, request):
         # the rebuilt model, scoring the test windows alone, gives the
-        # stored predictions and MSE to the last bit
-        out = request.getfixturevalue(run)
-        out = Path(out[0] if isinstance(out, tuple) else out)
-        prepared = pipeline.load_prepared(out)
-        preds_norm, fields = predict_from_model_file(out, name, prepared)
-        scaler = dataset.ScalerParams(**fields["scaler"])
-        result = json.loads((out / f"{name}_result.json").read_text())
-        np.testing.assert_array_equal(dataset.inverse_scale(preds_norm, scaler),
-                                      [p["predicted"] for p in result["predictions"]])
-        assert evaluation.mse(prepared.test_values, preds_norm) == result["mse_normalized"]
+        # stored predictions and MSE to the last bit; the full_run LSTM
+        # case is TestCheckpointRoundTrips
+        (preds, stored_preds), (mse, stored_mse) = reproduce_from_model_file(run, name, request)
+        np.testing.assert_array_equal(preds, stored_preds)
+        assert mse == stored_mse
 
 
 class TestCompare:
