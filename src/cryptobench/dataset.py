@@ -19,14 +19,13 @@ import datetime as dt
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "OhlcvRecord",
-    "PriceSeries",
     "ScalerParams",
     "WindowedDataset",
     "DatasetError",
@@ -105,33 +104,6 @@ class OhlcvRecord:
         return any(
             getattr(self, name) is None for name in _PRICE_FIELDS + ("volume",)
         )
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """An ordered sequence of bars with strictly increasing dates."""
-
-    records: tuple[OhlcvRecord, ...]
-
-    def __post_init__(self):
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.date <= prev.date:
-                raise DatasetError(
-                    f"dates must strictly increase: {prev.date} followed by {cur.date}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, index: int) -> OhlcvRecord:
-        return self.records[index]
-
-    @property
-    def dates(self) -> list[dt.date]:
-        return [r.date for r in self.records]
 
 
 @dataclass(frozen=True)
@@ -241,8 +213,9 @@ def _rows(reader):
         raise DatasetError(f"row {row_no + 1}: {exc}") from exc
 
 
-def parse_csv(text: str) -> PriceSeries:
-    """Parse OHLCV CSV text.
+def parse_csv(text: str) -> tuple[OhlcvRecord, ...]:
+    """The records of OHLCV CSV text, in file order; their dates must
+    strictly increase.
 
     Numeric fields that are empty or unparseable become ``None`` on the
     record; dropping such rows is ``clean``'s job.  Comment lines
@@ -295,27 +268,29 @@ def parse_csv(text: str) -> PriceSeries:
             )
         except DatasetError as exc:
             raise DatasetError(f"row {row_no}: {exc}") from exc
+        if records and date <= records[-1].date:
+            raise DatasetError(f"row {row_no}: dates must strictly increase: "
+                               f"{records[-1].date} followed by {date}")
         records.append(record)
 
     if header_map is None:
         raise DatasetError("input has no header row")
-    return PriceSeries(tuple(records))
+    return tuple(records)
 
 
-def clean(series: PriceSeries) -> PriceSeries:
-    """Drop every record with a missing field, preserving order."""
-    kept = tuple(r for r in series if not r.has_missing)
+def clean(records: Sequence[OhlcvRecord]) -> tuple[OhlcvRecord, ...]:
+    """The records without a missing field, in order."""
+    kept = tuple(r for r in records if not r.has_missing)
     if not kept:
         raise DatasetError("no records left after dropping missing fields")
-    return PriceSeries(kept)
+    return kept
 
 
-def column_values(series: PriceSeries, column: str = "close") -> np.ndarray:
-    """Extract one numeric column as float64, with NaN for missing."""
+def column_values(records: Sequence[OhlcvRecord], column: str = "close") -> np.ndarray:
+    """One numeric column as float64, with NaN for missing."""
     if column not in _PRICE_FIELDS + ("volume",):
         raise DatasetError(f"no such value column: {column!r}")
-    values = [getattr(r, column) for r in series]
-    return np.array([math.nan if v is None else v for v in values], dtype=np.float64)
+    return np.array([getattr(r, column) for r in records], dtype=np.float64)
 
 
 def fit_scaler(values) -> ScalerParams:
@@ -344,13 +319,11 @@ def inverse_scale(values, params: ScalerParams) -> np.ndarray:
     return arr * params.span + params.min
 
 
-def chronological_split(
-    series: PriceSeries, train_fraction: float
-) -> tuple[PriceSeries, PriceSeries]:
-    """First floor(n * fraction) records become train, the rest test."""
+def chronological_split(n: int, train_fraction: float) -> int:
+    """The train size of ``n`` time-ordered records: the first
+    floor(n * fraction) train, the rest test."""
     if not (0.0 < train_fraction < 1.0):
         raise DatasetError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(series)
     if n == 0:
         raise DatasetError("cannot split an empty series")
     cut = int(math.floor(n * train_fraction))
@@ -358,7 +331,7 @@ def chronological_split(
         raise DatasetError(
             f"split at {cut}/{n} leaves one side empty (fraction {train_fraction})"
         )
-    return PriceSeries(series.records[:cut]), PriceSeries(series.records[cut:])
+    return cut
 
 
 def make_windows(values, window: int) -> WindowedDataset:

@@ -1,4 +1,4 @@
-"""Mean-square-error metric and the cross-model comparison report.
+"""Mean-square-error metric and the cross-model ranking.
 
 MSE is the sole benchmark.  Raw-scale squared errors on USD prices
 reach 1e8 and beyond, so the accumulation uses numpy's pairwise
@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["ModelResult", "EvalReport", "mse", "compare"]
+__all__ = ["ModelResult", "mse", "compare"]
 
 
 def mse(y_true, y_pred) -> float:
@@ -46,19 +46,9 @@ class ModelResult:
                 raise ValueError(f"{label} must be finite and >= 0, got {value}")
 
 
-@dataclass
-class EvalReport:
-    """Results sorted ascending by normalized MSE; winner = first row."""
-
-    results: list[ModelResult]
-    winner: str
-    dataset_fingerprint: str = ""
-
-
-def compare(results: Sequence[ModelResult], dataset_fingerprint: str = "") -> EvalReport:
-    """Rank by mse_normalized, ties broken by model name."""
+def compare(results: Sequence[ModelResult]) -> list[ModelResult]:
+    """The results ranked by mse_normalized, ties broken by model name;
+    the winner is first."""
     if not results:
         raise ValueError("cannot compare an empty result list")
-    ordered = sorted(results, key=lambda r: (r.mse_normalized, r.model_name))
-    return EvalReport(results=list(ordered), winner=ordered[0].model_name,
-                      dataset_fingerprint=dataset_fingerprint)
+    return sorted(results, key=lambda r: (r.mse_normalized, r.model_name))

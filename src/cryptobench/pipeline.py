@@ -82,27 +82,34 @@ def _write_json(path: Path, payload: dict):
 # bools, and a bool is an int to isinstance
 _STRING, _INTEGER = ((str,), "a string"), ((int,), "an integer")
 _NUMBER, _OBJECT = ((int, float), "a number"), ((dict,), "an object")
+_LIST = ((list,), "a list")
+
+
+def _check_fields(payload, fields: dict, where: str) -> dict:
+    """``payload``, which must be a JSON object holding each key of
+    ``fields`` with a value of its type (any where it maps to None); a
+    PipelineError otherwise, its message starting with ``where``."""
+    if not isinstance(payload, dict):
+        raise PipelineError(f"{where}: not a JSON object")
+    missing = [key for key in fields if key not in payload]
+    if missing:
+        raise PipelineError(f"{where}: missing {', '.join(missing)}")
+    for key, json_type in fields.items():
+        if json_type and type(payload[key]) not in json_type[0]:
+            raise PipelineError(f"{where}: {key} is not {json_type[1]}")
+    return payload
 
 
 def _read_json(path: Path, what: str = "artifact", fields: dict | None = None) -> dict:
-    """The JSON object in the ``what`` file ``path``, which must hold each
-    key of ``fields`` with a value of its type (any where it maps to None)."""
+    """The JSON object in the ``what`` file ``path``, checked against
+    ``fields`` as ``_check_fields`` does."""
     if not path.exists():
         raise PipelineError(f"missing artifact: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise PipelineError(f"unreadable artifact {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise PipelineError(f"malformed {what} {path}: not a JSON object")
-    fields = fields or {}
-    missing = [key for key in fields if key not in payload]
-    if missing:
-        raise PipelineError(f"malformed {what} {path}: missing {', '.join(missing)}")
-    for key, json_type in fields.items():
-        if json_type and type(payload[key]) not in json_type[0]:
-            raise PipelineError(f"malformed {what} {path}: {key} is not {json_type[1]}")
-    return payload
+    return _check_fields(payload, fields or {}, f"malformed {what} {path}")
 
 
 @contextlib.contextmanager
@@ -150,10 +157,9 @@ def prepare(cfg: RunConfig) -> dict:
         offset = exc.start + len(raw_bytes) - len(exc.object)
         raise PipelineError(f"{path} is not UTF-8 text: byte "
                             f"0x{raw_bytes[offset]:02x} at offset {offset}") from None
-    series = ds.parse_csv(text)
-    cleaned = ds.clean(series)
-    train, test = ds.chronological_split(cleaned, cfg.train_fraction)
-    split_index = len(train)
+    records = ds.parse_csv(text)
+    cleaned = ds.clean(records)
+    split_index = ds.chronological_split(len(cleaned), cfg.train_fraction)
 
     values = ds.column_values(cleaned, cfg.target_column)
     scaler = ds.fit_scaler(values[:split_index])
@@ -179,18 +185,18 @@ def prepare(cfg: RunConfig) -> dict:
         "train_fraction": cfg.train_fraction,
         "window": cfg.window,
         "n_records": len(cleaned),
-        "n_parsed": len(series),
-        "n_dropped": len(series) - len(cleaned),
+        "n_parsed": len(records),
+        "n_dropped": len(records) - len(cleaned),
         "split_index": split_index,
         "scaler": {"min": scaler.min, "max": scaler.max},
         "dataset_fingerprint": fingerprint,
     }
     _write_json(out / "prepare_meta.json", meta)
     return {
-        "n_parsed": len(series),
+        "n_parsed": len(records),
         "n_records": len(cleaned),
-        "n_train": len(train),
-        "n_test": len(test),
+        "n_train": split_index,
+        "n_test": len(cleaned) - split_index,
         "paths": [out / "prepared.csv", out / "prepare_meta.json"],
     }
 
@@ -209,9 +215,8 @@ def load_prepared(out_dir: str | Path, cfg: RunConfig | None = None) -> Prepared
                 raise PipelineError(
                     f"prepared artifacts used {key}={meta.get(key)!r} but the current "
                     f"config says {getattr(cfg, key)!r}; rerun prepare")
-    bounds = meta["scaler"]
-    if not all(type(bounds.get(key)) in _NUMBER[0] for key in ("min", "max")):
-        raise PipelineError(f"malformed artifact {meta_path}: scaler min or max is not a number")
+    bounds = _check_fields(meta["scaler"], {"min": _NUMBER, "max": _NUMBER},
+                           f"malformed artifact {meta_path}: scaler")
     with _malformed(meta_path, "artifact"):  # a NaN or flat scaler
         scaler = ds.ScalerParams(bounds["min"], bounds["max"])
     n_records, split_index = meta["n_records"], meta["split_index"]
@@ -386,13 +391,12 @@ def _fit_poly(cfg: RunConfig, prepared: PreparedData) -> _Fit:
 
     split = prepared.split_index
     xs = np.arange(len(prepared.normalized), dtype=np.float64)
-    sweep = polyreg.degree_sweep(
+    rows, model = polyreg.degree_sweep(
         (xs[:split], prepared.train_values),
         (xs[split:], prepared.test_values),
         cfg.poly_degrees)
-    model = sweep.model
     return _Fit(
-        tables={"poly_degrees.csv": (["degree", "mse"], sweep.rows)},
+        tables={"poly_degrees.csv": (["degree", "mse"], rows)},
         model={
             "degree": model.degree,
             "intercept": model.intercept,
@@ -446,19 +450,21 @@ def run_model(cfg: RunConfig, name: str) -> dict:
 
 # --- comparison --------------------------------------------------------
 
-# The fields of a ``{model}_result.json`` that ``run_compare`` reads; it
-# checks the last two as it reads them.
+# The fields of a ``{model}_result.json`` that ``run_compare`` reads, and
+# those of each entry of its predictions.
 _RESULT_FIELDS = {"dataset_fingerprint": _STRING, "config_hash": _STRING,
                   "seed": _INTEGER, "mse_normalized": _NUMBER, "mse_raw": _NUMBER,
-                  "config_summary": None, "predictions": None}
+                  "config_summary": _OBJECT, "predictions": _LIST}
+_PREDICTION_FIELDS = {"date": _STRING, "actual": _NUMBER, "predicted": _NUMBER}
 
 
 def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False,
-                expected_hash: str | None = None) -> evaluation.EvalReport:
-    """Assemble the cross-model report from the per-model result files.
+                expected_hash: str | None = None) -> list[evaluation.ModelResult]:
+    """Assemble the cross-model report from the per-model result files and
+    return the ranked results, the winner first.
 
     The results must agree on dataset, config hash and seed, and the
-    report is stamped with the hash and seed they carry.  With
+    report is stamped with the fingerprint, hash and seed they carry.  With
     ``expected_hash``, results made under any other config are refused.
     """
     out = Path(out_dir)
@@ -485,6 +491,7 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
                 + " (rerun the models against one prepare and config)")
     first = next(iter(available.values()))
     cfg_hash, seed = first["config_hash"], first["seed"]
+    fingerprint = first["dataset_fingerprint"]
     if expected_hash is not None and expected_hash != cfg_hash:
         raise PipelineError(
             f"the results were made with config_hash {cfg_hash} but the given "
@@ -493,46 +500,51 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
     # every value is checked before the first file is written
     results, prediction_rows = [], {}
     for name, payload in available.items():
-        with _malformed(out / f"{name}_result.json", "result"):
+        path = out / f"{name}_result.json"
+        for i, entry in enumerate(payload["predictions"]):
+            _check_fields(entry, _PREDICTION_FIELDS,
+                          f"malformed result {path}: predictions[{i}]")
+        with _malformed(path, "result"):  # a negative or non-finite MSE
             results.append(evaluation.ModelResult(
                 model_name=name,
                 mse_normalized=payload["mse_normalized"],
                 mse_raw=payload["mse_raw"],
-                config_summary=dict(payload["config_summary"]),
+                config_summary=payload["config_summary"],
             ))
-            prediction_rows[name] = [(p["date"], p["actual"], p["predicted"])
-                                     for p in payload["predictions"]]
-    report = evaluation.compare(results, dataset_fingerprint=first["dataset_fingerprint"])
+        prediction_rows[name] = [(p["date"], p["actual"], p["predicted"])
+                                 for p in payload["predictions"]]
+    ranked = evaluation.compare(results)
+    winner = ranked[0].model_name
 
     summary = {
         "format_version": FORMAT_VERSION,
         "config_hash": cfg_hash,
         "seed": seed,
-        "dataset_fingerprint": report.dataset_fingerprint,
-        "winner": report.winner,
+        "dataset_fingerprint": fingerprint,
+        "winner": winner,
         "results": [
             {
                 "model": r.model_name,
                 "mse_normalized": r.mse_normalized,
                 "mse_raw": r.mse_raw,
-                "config_summary": dict(r.config_summary),
+                "config_summary": r.config_summary,
             }
-            for r in report.results
+            for r in ranked
         ],
     }
     lines = [
         f"model comparison (config {cfg_hash}, seed {seed})",
-        f"dataset fingerprint: {report.dataset_fingerprint}",
+        f"dataset fingerprint: {fingerprint}",
         "",
         f"{'model':<12} {'mse (normalized)':>20} {'mse (raw)':>20}",
     ]
-    for r in report.results:
+    for r in ranked:
         lines.append(f"{r.model_name:<12} {r.mse_normalized:>20.10g} {r.mse_raw:>20.10g}")
-    lines += ["", f"winner: {report.winner}"]
+    lines += ["", f"winner: {winner}"]
     files = [
         (out / "comparison.csv", _write_table,
          (["model", "mse_normalized", "mse_raw"],
-          [(r.model_name, r.mse_normalized, r.mse_raw) for r in report.results],
+          [(r.model_name, r.mse_normalized, r.mse_raw) for r in ranked],
           cfg_hash, seed)),
         (out / "report.json", _write_json, (summary,)),
         (out / "report.txt", Path.write_text, ("\n".join(lines) + "\n", "utf-8")),
@@ -552,4 +564,4 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
             if path.is_file():
                 path.unlink()
         raise
-    return report
+    return ranked

@@ -21,7 +21,6 @@ from .evaluation import mse
 
 __all__ = [
     "PolyModel",
-    "DegreeSweep",
     "fit",
     "predict",
     "degree_sweep",
@@ -46,20 +45,6 @@ class PolyModel:
             raise ValueError("polynomial coefficients must be finite")
         if not self.feature_scale[1] > 0:
             raise ValueError("feature span must be positive")
-
-
-@dataclass
-class DegreeSweep:
-    """Rows of (degree, test_mse); best = argmin with ties to the lower
-    degree, and ``model`` is that degree's fit."""
-
-    rows: list[tuple[int, float]]
-    best_index: int
-    model: PolyModel
-
-    @property
-    def best(self) -> tuple[int, float]:
-        return self.rows[self.best_index]
 
 
 def _design_matrix(x_scaled: np.ndarray, degree: int) -> np.ndarray:
@@ -113,16 +98,15 @@ def degree_sweep(
     train: tuple[np.ndarray, np.ndarray],
     test: tuple[np.ndarray, np.ndarray],
     degrees: Sequence[int],
-) -> DegreeSweep:
-    """Fit each degree on train, score MSE on test, keep input order."""
+) -> tuple[list[tuple[int, float]], PolyModel]:
+    """Fit each degree on train and score its MSE on test: the
+    (degree, test_mse) rows in input order, and the fit of the argmin
+    degree, ties going to the lower degree."""
     if not degrees:
         raise ValueError("degree list must not be empty")
     train_x, train_y = train
     test_x, test_y = test
-    rows: list[tuple[int, float]] = []
-    models: list[PolyModel] = []
-    for degree in degrees:
-        models.append(fit(train_x, train_y, int(degree)))
-        rows.append((int(degree), mse(test_y, predict(models[-1], test_x))))
+    models = [fit(train_x, train_y, int(degree)) for degree in degrees]
+    rows = [(model.degree, mse(test_y, predict(model, test_x))) for model in models]
     best = min(range(len(rows)), key=lambda k: (rows[k][1], rows[k][0]))
-    return DegreeSweep(rows=rows, best_index=best, model=models[best])
+    return rows, models[best]

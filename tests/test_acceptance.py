@@ -39,12 +39,12 @@ GRADCHECK_COMBOS = [(h, w) for h in (2, 3, 5) for w in (2, 4, 8)]
 
 
 def _fixture_prepared():
-    series = ds.clean(ds.parse_csv(SAMPLE.read_text()))
-    train, test = ds.chronological_split(series, 0.8)
-    closes = ds.column_values(series, "close")
-    scaler = ds.fit_scaler(closes[: len(train)])
+    records = ds.clean(ds.parse_csv(SAMPLE.read_text()))
+    n_train = ds.chronological_split(len(records), 0.8)
+    closes = ds.column_values(records, "close")
+    scaler = ds.fit_scaler(closes[:n_train])
     normalized = ds.scale(closes, scaler)
-    return normalized, len(train), scaler
+    return normalized, n_train, scaler
 
 
 def test_criterion_1_lstm_gradient_check():
@@ -256,13 +256,13 @@ def test_criterion_9_reference_ranking():
         evaluation.ModelResult("Support Vector Machine", 0.02, 0.02),
         evaluation.ModelResult("Polynomial Regression", 51702001.51, 51702001.51),
     ]
-    report = evaluation.compare(results)
-    assert [r.model_name for r in report.results] == [
+    ranked = evaluation.compare(results)
+    assert [r.model_name for r in ranked] == [
         "Support Vector Machine",
         "Long Short Term Memory",
         "Polynomial Regression",
     ]
-    assert report.winner == "Support Vector Machine"
-    assert report.results[0].mse_normalized == 0.02
+    assert ranked[0].model_name == "Support Vector Machine"
+    assert ranked[0].mse_normalized == 0.02
     print("\nACCEPTANCE 9 PASS: reference MSEs rank SVM < LSTM < Polynomial, "
           "winner SVM at 0.02")

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime
 import importlib
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -645,6 +646,9 @@ class TestCompare:
         assert len(rows) == 3
         report = json.loads((Path(out) / "report.json").read_text())
         assert report["winner"] == report["results"][0]["model"]
+        meta = json.loads((Path(out) / "prepare_meta.json").read_text())
+        assert report["dataset_fingerprint"] == meta["dataset_fingerprint"]
+        assert f"dataset fingerprint: {meta['dataset_fingerprint']}" in printed
         mses = [r["mse_normalized"] for r in report["results"]]
         assert mses == sorted(mses)
         for name in ("lstm", "svr", "poly"):
@@ -699,6 +703,12 @@ class TestCompare:
         assert str(path) in capsys.readouterr().err
         assert not (copy / "report.json").exists()
 
+    @staticmethod
+    def _first_prediction(**fields):
+        """An edit that overrides ``fields`` on the payload's first prediction."""
+        return lambda payload: payload | {"predictions": [
+            payload["predictions"][0] | fields, *payload["predictions"][1:]]}
+
     @pytest.mark.parametrize("edit", [
         lambda payload: {},
         lambda payload: [1],
@@ -709,8 +719,13 @@ class TestCompare:
         lambda payload: payload | {"seed": True},
         lambda payload: payload | {"mse_normalized": True},
         lambda payload: payload | {"mse_raw": True},
+        _first_prediction(actual="not a number"),
+        _first_prediction(date=17),
+        _first_prediction(predicted=None),
+        lambda payload: payload | {"config_summary": [["degree", 2]]},
     ], ids=["empty_object", "list", "missing_mse_raw", "negative_mse", "list_fingerprint",
-            "bool_seed", "bool_mse_normalized", "bool_mse_raw"])
+            "bool_seed", "bool_mse_normalized", "bool_mse_raw", "string_actual", "int_date",
+            "null_predicted", "list_config_summary"])
     def test_malformed_result_exits_4(self, full_run, tmp_path, capsys, edit):
         copy, args = _private_copy(full_run, tmp_path)
         path = copy / "svr_result.json"
@@ -802,6 +817,30 @@ class TestDeterminism:
         assert names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestBenchmarkHooks:
+    def test_every_named_hook_is_wrapped_and_called(self, tmp_path, small_ini, monkeypatch):
+        # perfbench reads its per-layer metrics from spans around these
+        # functions; one renamed away, or whose arguments or result no longer
+        # fit its counter, would read 0 without failing the benchmark
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", Path(__file__).parents[1] / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
+        spec.loader.exec_module(spans)
+        base = ["--input", SAMPLE, "--config", small_ini, "--out-dir", str(tmp_path / "out")]
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert main(["prepare", *base]) == 0
+            for model in MODEL_NAMES:
+                assert main(["run", model, *base]) == 0
+            assert main(["compare", *base]) == 0
+        finally:
+            tracer.restore()
+        assert tracer.absent == set()
+        assert set(spans.NAMED_HOOKS) <= {span.name for span in tracer.spans}
 
 
 FAMILIES = {"cryptobench.lstm", "cryptobench.svr", "cryptobench.polyreg"}

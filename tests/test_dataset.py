@@ -8,7 +8,6 @@ from cryptobench.dataset import (
     DatasetError,
     DataWarning,
     OhlcvRecord,
-    PriceSeries,
     ScalerParams,
 )
 
@@ -69,7 +68,7 @@ class TestParseCsv:
     def test_iso_dates_accepted(self):
         text = HEADER + "2020-01-10,9,10,8,9,9,100\n2020-01-11,9,10,8,9,9,100\n"
         series = dataset.parse_csv(text)
-        assert series.dates == [dt.date(2020, 1, 10), dt.date(2020, 1, 11)]
+        assert [r.date for r in series] == [dt.date(2020, 1, 10), dt.date(2020, 1, 11)]
 
     def test_missing_header_column(self):
         with pytest.raises(DatasetError, match="^header is missing columns: volume$"):
@@ -107,7 +106,7 @@ class TestParseCsv:
             with pytest.raises(DatasetError, match=f"^row 2: cannot parse date '{text}'$"):
                 dataset.parse_csv(csv_text)
         else:
-            assert dataset.parse_csv(csv_text).dates == [expected]
+            assert [r.date for r in dataset.parse_csv(csv_text)] == [expected]
 
     @pytest.mark.parametrize("last, message", [
         ("not-a-date,9,10,8,9,9,100", "cannot parse date 'not-a-date'"),
@@ -126,7 +125,13 @@ class TestParseCsv:
 
     def test_non_monotonic_dates(self):
         text = HEADER + "11/01/2020,9,10,8,9,9,100\n10/01/2020,9,10,8,9,9,100\n"
-        with pytest.raises(DatasetError, match="^dates must strictly increase: 2020-01-11 followed by 2020-01-10$"):
+        with pytest.raises(DatasetError, match="^row 3: dates must strictly increase: 2020-01-11 followed by 2020-01-10$"):
+            dataset.parse_csv(text)
+
+    def test_non_monotonic_dates_in_a_row_clean_would_drop(self):
+        # the out-of-order row has an empty close, so it never reaches clean's output
+        text = HEADER + "11/01/2020,9,10,8,9,9,100\n10/01/2020,9,10,8,,9,100\n"
+        with pytest.raises(DatasetError, match="^row 3: dates must strictly increase: 2020-01-11 followed by 2020-01-10$"):
             dataset.parse_csv(text)
 
     def test_low_above_high_is_hard_error(self):
@@ -162,16 +167,16 @@ class TestClean:
     def test_drops_only_missing_rows(self):
         records = [make_record(d) for d in range(1, 11)]
         records[4] = make_record(5, close=None)
-        cleaned = dataset.clean(PriceSeries(tuple(records)))
+        cleaned = dataset.clean(tuple(records))
         assert len(cleaned) == 9
-        assert dt.date(2020, 1, 5) not in cleaned.dates
+        assert dt.date(2020, 1, 5) not in [r.date for r in cleaned]
 
     def test_identity_when_nothing_missing(self):
-        series = PriceSeries(tuple(make_record(d) for d in range(1, 6)))
+        series = tuple(make_record(d) for d in range(1, 6))
         assert dataset.clean(series) == series
 
     def test_all_missing_raises(self):
-        series = PriceSeries(tuple(make_record(d, volume=None) for d in range(1, 4)))
+        series = tuple(make_record(d, volume=None) for d in range(1, 4))
         with pytest.raises(DatasetError, match="^no records left after dropping missing fields$"):
             dataset.clean(series)
 
@@ -217,30 +222,19 @@ class TestScaler:
 
 
 class TestSplit:
-    def _series(self, n):
-        return PriceSeries(tuple(make_record(d) for d in range(1, n + 1)))
-
     def test_80_20(self):
-        train, test = dataset.chronological_split(self._series(10), 0.8)
-        assert (len(train), len(test)) == (8, 2)
+        assert dataset.chronological_split(10, 0.8) == 8
 
     def test_floor_behaviour(self):
-        train, test = dataset.chronological_split(self._series(11), 0.8)
-        assert (len(train), len(test)) == (8, 3)
+        assert dataset.chronological_split(11, 0.8) == 8
 
     def test_single_record_raises(self):
         with pytest.raises(DatasetError, match=r"^split at 0/1 leaves one side empty \(fraction 0.8\)$"):
-            dataset.chronological_split(self._series(1), 0.8)
+            dataset.chronological_split(1, 0.8)
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
-            dataset.chronological_split(self._series(10), 1.0)
-
-    def test_concatenation_recovers_series(self):
-        series = self._series(13)
-        train, test = dataset.chronological_split(series, 0.7)
-        assert train.records + test.records == series.records
-        assert train.dates[-1] < test.dates[0]
+            dataset.chronological_split(10, 1.0)
 
 
 class TestMakeWindows:
@@ -269,7 +263,7 @@ class TestMakeWindows:
 
 
 def test_column_values_nan_for_missing():
-    series = PriceSeries((make_record(1), make_record(2, close=None)))
+    series = (make_record(1), make_record(2, close=None))
     values = dataset.column_values(series, "close")
     assert values[0] == 100.0
     assert np.isnan(values[1])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cryptobench.dataset import ScalerParams, inverse_scale
-from cryptobench.evaluation import EvalReport, ModelResult, compare, mse
+from cryptobench.evaluation import ModelResult, compare, mse
 
 from oracles import fsum_mse
 
@@ -75,30 +75,26 @@ class TestCompare:
             ModelResult("svr", 0.02, 0.02),
             ModelResult("poly", 51702001.51, 51702001.51),
         ]
-        report = compare(results)
-        assert [r.model_name for r in report.results] == ["svr", "lstm", "poly"]
-        assert report.winner == "svr"
+        ranked = compare(results)
+        assert [r.model_name for r in ranked] == ["svr", "lstm", "poly"]
+        assert ranked[0].model_name == "svr"
 
     def test_single_result_wins(self):
-        report = compare([ModelResult("only", 1.0, 2.0)])
-        assert report.winner == "only"
-        assert len(report.results) == 1
+        ranked = compare([ModelResult("only", 1.0, 2.0)])
+        assert ranked[0].model_name == "only"
+        assert len(ranked) == 1
 
     def test_tie_breaks_alphabetically(self):
-        report = compare([
+        ranked = compare([
             ModelResult("zeta", 1.0, 1.0),
             ModelResult("alpha", 1.0, 1.0),
         ])
-        assert [r.model_name for r in report.results] == ["alpha", "zeta"]
-        assert report.winner == "alpha"
+        assert [r.model_name for r in ranked] == ["alpha", "zeta"]
+        assert ranked[0].model_name == "alpha"
 
     def test_empty_results(self):
         with pytest.raises(ValueError):
             compare([])
-
-    def test_fingerprint_carried(self):
-        report = compare([ModelResult("m", 1.0, 1.0)], dataset_fingerprint="abc123")
-        assert report.dataset_fingerprint == "abc123"
 
     def test_does_not_mutate_input(self):
         results = [ModelResult("b", 2.0, 2.0), ModelResult("a", 1.0, 1.0)]

@@ -112,30 +112,30 @@ class TestDegreeSweep:
 
     def test_five_degree_table_shape(self):
         train, test = self._cubic_data()
-        sweep = degree_sweep(train, test, [2, 4, 6, 9, 11])
-        assert [row[0] for row in sweep.rows] == [2, 4, 6, 9, 11]
-        assert all(mse >= 0 for _, mse in sweep.rows)
+        rows, _ = degree_sweep(train, test, [2, 4, 6, 9, 11])
+        assert [row[0] for row in rows] == [2, 4, 6, 9, 11]
+        assert all(mse >= 0 for _, mse in rows)
 
     def test_single_degree(self):
         train, test = self._cubic_data()
-        sweep = degree_sweep(train, test, [3])
-        assert len(sweep.rows) == 1
-        assert sweep.best_index == 0
+        rows, model = degree_sweep(train, test, [3])
+        assert len(rows) == 1
+        assert model.degree == 3
 
     def test_exact_cubic_wins_at_degree_three(self):
         train, test = self._cubic_data()
-        sweep = degree_sweep(train, test, [2, 3])
-        assert sweep.best == sweep.rows[1]
-        assert sweep.best[0] == 3
-        assert sweep.best[1] < 1e-10
+        rows, model = degree_sweep(train, test, [2, 3])
+        assert model.degree == 3
+        assert rows[1][0] == 3
+        assert rows[1][1] < 1e-10
 
     def test_tie_breaks_to_lower_degree(self):
         # constant data is fitted exactly (mse 0.0) at every degree, so
         # the tie must resolve to the lower degree regardless of order
         xs = np.linspace(0, 1, 14)
         ys = np.full(14, 2.0)
-        result = degree_sweep((xs[:10], ys[:10]), (xs[10:], ys[10:]), [4, 2])
-        assert result.best[0] == 2
+        _, model = degree_sweep((xs[:10], ys[:10]), (xs[10:], ys[10:]), [4, 2])
+        assert model.degree == 2
 
     def test_empty_degrees(self):
         with pytest.raises(ValueError):
