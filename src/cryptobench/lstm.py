@@ -20,7 +20,7 @@ Everything runs in float64 numpy.
 
 ``epoch_grid`` is the one training entry point: mini-batch Adam over the
 training windows in time order (no shuffling), one Adam step per batch,
-deterministic for a fixed seed, scored after every epoch.
+deterministic for a fixed seed, scored at the grid epochs.
 ``predict_batch`` scores each window independently of the windows passed
 with it, so a checkpoint reloaded and scored on the test windows alone
 reproduces its recorded MSE bit for bit.
@@ -28,9 +28,7 @@ reproduces its recorded MSE bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,7 +40,6 @@ from .evaluation import mse
 __all__ = [
     "LstmParams",
     "AdamState",
-    "TrainRecord",
     "Snapshot",
     "LstmConfig",
     "init_params",
@@ -120,13 +117,6 @@ class AdamState:
     @classmethod
     def fresh(cls, n_params: int) -> "AdamState":
         return cls(m=np.zeros(n_params), v=np.zeros(n_params), t=0)
-
-
-@dataclass(frozen=True)
-class TrainRecord:
-    epoch: int
-    train_mse: float
-    test_mse: float
 
 
 @dataclass(frozen=True)
@@ -322,72 +312,16 @@ def predict_batch(params: LstmParams, inputs: np.ndarray) -> np.ndarray:
     return preds
 
 
-def _serve_scores(conn, parent_end, inputs, hidden_size):
-    """The scorer process: for each request received, a start index
-    ahead of a parameter vector, send back ``predict_batch`` of
-    ``inputs[start:]``, until the parent closes its end."""
-    parent_end.close()  # the inherited copy would keep the pipe open
-    with contextlib.suppress(EOFError, ConnectionError):
-        while True:
-            request = np.frombuffer(conn.recv_bytes())
-            params = LstmParams(request[1:], 1, hidden_size)
-            conn.send_bytes(predict_batch(params, inputs[int(request[0]):]))
-
-
-class _ForkedScorer:
-    """``predict_batch`` of fixed windows, from a given one on, in one
-    forked process, which inherits the windows; the caller collects
-    each result before it sends the next request."""
-
-    def __init__(self, inputs, hidden_size):
-        # imported here, so that importing the package does not load it
-        import multiprocessing
-
-        # forked, not spawned: the child starts with numpy loaded and the
-        # windows in memory, where a spawned one would first start an
-        # interpreter and import numpy
-        fork = multiprocessing.get_context("fork")
-        self._conn, child_end = fork.Pipe()
-        self._proc = fork.Process(target=_serve_scores,
-                                  args=(child_end, self._conn, inputs, hidden_size))
-        self._proc.start()
-        child_end.close()
-
-    def send(self, start: int, vec: np.ndarray):
-        """Ask for the predictions of the windows from ``start`` on."""
-        try:
-            self._conn.send_bytes(np.concatenate(([start], vec)))
-        except OSError:
-            self._died()
-
-    def collect(self) -> np.ndarray:
-        try:
-            return np.frombuffer(self._conn.recv_bytes())
-        except (EOFError, OSError):
-            self._died()
-
-    def _died(self):
-        self._proc.join()
-        raise ChildProcessError(
-            f"the LSTM scorer process exited with code {self._proc.exitcode}") from None
-
-    def close(self):
-        """Stop the process: it returns once it has sent any result in
-        hand, and finds the pipe closed."""
-        self._conn.close()
-        self._proc.join()
-
-
 def epoch_grid(
     data: WindowedDataset,
     test: WindowedDataset,
     epoch_counts: Sequence[int],
     seed: int,
     hyper: LstmConfig = LstmConfig(),
-) -> tuple[list[tuple[int, float]], dict[int, Snapshot], list[TrainRecord]]:
+) -> tuple[list[tuple[int, float]], dict[int, Snapshot], list[float]]:
     """Train up to the largest epoch count in the grid; return the test
     MSE at each count, a snapshot of the model and its test predictions
-    at each count, and the train/test MSE history of every epoch.
+    at each count, and the training loss of every epoch.
 
     Training is full-pass mini-batch Adam, deterministic for a fixed
     seed: the windows are visited in time order (no shuffling), one Adam
@@ -396,27 +330,16 @@ def epoch_grid(
     pass with snapshots reproduces the independent per-count runs bit
     for bit.
 
-    Each epoch is scored by ``predict_batch`` over the train and test
-    windows together, split at the train count.  No later epoch reads
-    it, so with more than one usable CPU (``os.sched_getaffinity``) and
-    more than one epoch, a forked scorer process scores each epoch but
-    the last while this process trains the next one; this process
-    collects epoch e's predictions before it sends epoch e + 1.  The
-    last epoch has nothing to overlap with, so this process scores the
-    first half of its windows and the scorer the rest, and the two
-    halves are joined.  On one CPU it scores every epoch itself.  A
-    window's prediction does not depend on the windows scored with it,
-    so the predictions, and so the history, are the same bit for bit
-    either way.  Code that wraps ``predict_batch`` in this process, such
-    as perfbench's ``lstm.*`` spans, then sees only this process's share
-    of the last epoch.
+    Only the grid epochs are scored, by ``predict_batch`` over the test
+    windows.  An epoch's training loss is the mean of its batch losses,
+    weighted by batch size, each taken before its batch's Adam step; it
+    is not the MSE of the epoch's final model on the training windows.
     """
     counts = [int(e) for e in epoch_counts]
     if not counts or any(e < 1 for e in counts):
         raise ValueError("epoch grid must be non-empty positive integers")
     if len(data) == 0:
         raise ValueError("training dataset is empty")
-    epochs = max(counts)
 
     rng = np.random.default_rng(seed)
     params = init_params(1, hyper.hidden_size, rng)
@@ -425,46 +348,20 @@ def epoch_grid(
     xs_all = _time_major(data.inputs)
     ys_all = np.asarray(data.targets, dtype=np.float64)
     n = len(data)
-    eval_inputs = np.concatenate((data.inputs, test.inputs))
-    eval_targets = np.concatenate((ys_all, test.targets))
-    split = len(eval_inputs) // 2  # where the last epoch's scoring splits
-
     wanted = set(counts)
     snapshots: dict[int, Snapshot] = {}
-    history: list[TrainRecord] = []
-
-    def record(epoch, params, preds):
-        history.append(TrainRecord(
-            epoch=epoch,
-            train_mse=mse(eval_targets[:n], preds[:n]),
-            test_mse=mse(eval_targets[n:], preds[n:]),
-        ))
+    history: list[float] = []
+    for epoch in range(1, max(counts) + 1):
+        total = 0.0
+        for start in range(0, n, hyper.batch_size):
+            stop = start + hyper.batch_size
+            targets = ys_all[start:stop]
+            grads, loss = _batch_grads(xs_all[:, start:stop], targets, params)
+            params, adam = adam_step(params, grads, adam, hyper)
+            total += loss * len(targets)
+        history.append(total / n)
         if epoch in wanted:
             # adam_step returns fresh parameters, so these stay as they are
-            snapshots[epoch] = Snapshot(params, preds[n:])
-
-    scorer = None
-    if epochs > 1 and len(os.sched_getaffinity(0)) > 1:
-        scorer = _ForkedScorer(eval_inputs, hyper.hidden_size)
-    in_flight = None
-    try:
-        for epoch in range(1, epochs + 1):
-            for start in range(0, n, hyper.batch_size):
-                stop = start + hyper.batch_size
-                grads, _ = _batch_grads(xs_all[:, start:stop], ys_all[start:stop], params)
-                params, adam = adam_step(params, grads, adam, hyper)
-            if in_flight:
-                record(*in_flight, scorer.collect())
-            if scorer and epoch < epochs:
-                scorer.send(0, params.vec)
-                in_flight = (epoch, params)
-            elif scorer:
-                scorer.send(split, params.vec)
-                head = predict_batch(params, eval_inputs[:split])
-                record(epoch, params, np.concatenate((head, scorer.collect())))
-            else:
-                record(epoch, params, predict_batch(params, eval_inputs))
-    finally:
-        if scorer:
-            scorer.close()
-    return [(e, history[e - 1].test_mse) for e in counts], snapshots, history
+            snapshots[epoch] = Snapshot(params, predict_batch(params, test.inputs))
+    rows = [(e, mse(test.targets, snapshots[e].test_predictions)) for e in counts]
+    return rows, snapshots, history

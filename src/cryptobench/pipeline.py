@@ -5,7 +5,7 @@ Artifact layout under ``out_dir``:
     prepared.csv          index,date,normalized_close (train scaler applied)
     prepare_meta.json     scaler min/max, split boundary, fingerprint
     lstm_epochs.csv       epoch,mse              (normalized test MSE)
-    lstm_history.csv      epoch,train_mse,test_mse
+    lstm_history.csv      epoch,train_loss       (batch-loss mean per epoch)
     {model}_model.json    bit-exact serialized winning model
     {model}_result.json   scores + winning config + prediction dump
     svr_grid.csv          kernel,gamma,c,mse     (cross-validation MSE)
@@ -295,8 +295,7 @@ def _fit_lstm(cfg: RunConfig, prepared: PreparedData) -> _Fit:
     return _Fit(
         tables={
             "lstm_epochs.csv": (["epoch", "mse"], rows),
-            "lstm_history.csv": (["epoch", "train_mse", "test_mse"],
-                                 [(r.epoch, r.train_mse, r.test_mse) for r in history]),
+            "lstm_history.csv": (["epoch", "train_loss"], list(enumerate(history, 1))),
         },
         model={
             "window": cfg.window,
