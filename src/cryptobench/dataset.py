@@ -353,20 +353,18 @@ def make_windows(values, window: int) -> WindowedDataset:
 
 
 def time_folds(n: int, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Contiguous, unshuffled k-fold CV over ``n`` time-ordered samples: one
-    (fit_indices, eval_indices) pair per fold, the first n % k evals one longer."""
+    """Forward-chaining CV over ``n`` time-ordered samples: one
+    (fit_indices, eval_indices) pair per fold, so no fold fits on a day
+    after the block it scores.
+
+    The samples are cut into k + 1 contiguous blocks, the first n % (k + 1)
+    one sample longer; fold i fits blocks 0..i and scores block i + 1."""
     if k < 2:
         raise DatasetError(f"cross-validation needs k >= 2, got {k}")
-    if n < k:
+    if n < k + 1:
         raise DatasetError(f"{n} samples cannot fill {k} folds")
-    size, longer = divmod(n, k)
-    if n - size - (longer > 0) < 2:
+    blocks = np.array_split(np.arange(n), k + 1)
+    if len(blocks[0]) < 2:
         raise DatasetError(
             f"{n} samples leave fewer than 2 training points per {k}-fold split")
-    index = np.arange(n)
-    folds, start = [], 0
-    for r in range(k):
-        stop = start + size + (r < longer)
-        folds.append((np.concatenate((index[:start], index[stop:])), index[start:stop]))
-        start = stop
-    return folds
+    return [(np.arange(block[0]), block) for block in blocks[1:]]

@@ -8,7 +8,7 @@ Artifact layout under ``out_dir``:
     lstm_history.csv      epoch,train_loss       (batch-loss mean per epoch)
     {model}_model.json    bit-exact serialized winning model
     {model}_result.json   scores + winning config + prediction dump
-    svr_grid.csv          kernel,gamma,c,mse     (cross-validation MSE)
+    svr_grid.csv          kernel,gamma,c,mse     (forward-chaining CV MSE)
     svr_best.json         winning grid cell + grid work totals
     poly_degrees.csv      degree,mse             (test MSE)
     comparison.csv        model,mse_normalized,mse_raw

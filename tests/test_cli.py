@@ -99,7 +99,7 @@ def window_svr_run(tmp_path_factory):
     out = root / "out"
     base = ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(out), "--seed", "5"]
     assert main(["prepare", *base]) == 0
-    with pytest.warns(svr_mod.ConvergenceWarning, match=r"linear C=10 \(3 of 5 folds\)"):
+    with pytest.warns(svr_mod.ConvergenceWarning, match=r"linear C=10 \(1 of 5 folds\)"):
         assert main(["run", "svr", *base]) == 0
     return out
 
@@ -349,6 +349,19 @@ class TestRun:
         result = json.loads((window_svr_run / "svr_result.json").read_text())
         assert result["config_summary"]["features"] == "window"
         assert len(result["predictions"]) == 12
+
+    def test_sample_svr_grid_work(self, tmp_path):
+        # the shipped run: its exact SMO work under the forward-chaining folds
+        base = ["--input", SAMPLE, "--out-dir", str(tmp_path), "--seed", "42"]
+        assert main(["prepare", *base]) == 0
+        with pytest.warns(svr_mod.ConvergenceWarning,
+                          match=r"in rbf gamma=1 C=1000 \(3 of 5 folds\), "
+                                r"linear C=1000 \(1 of 5 folds\);"):
+            assert main(["run", "svr", *base]) == 0
+        best = json.loads((tmp_path / "svr_best.json").read_text())
+        assert ((best["grid_fits"], best["grid_smo_iterations"], best["grid_capped_fits"])
+                == (180, 34_575, 4))
+        assert (best["kernel"], best["gamma"], best["c"]) == ("sigmoid", 0.1, 100.0)
 
     def _failing_svr_grid(self, tmp_path, small_ini, capsys, monkeypatch, fail):
         """``run svr`` on two workers whose ``fit`` calls ``fail``; returns

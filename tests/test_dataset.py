@@ -270,20 +270,32 @@ def test_column_values_nan_for_missing():
 
 
 class TestTimeFolds:
-    def test_folds_are_the_array_split_partition(self):
+    # k + 1 blocks of n samples, the first ceil(n / (k + 1)) long: it holds
+    # 2 training points exactly when n >= k + 2
+    def test_folds_are_the_forward_chaining_plan(self):
         for n in range(1, 61):
             for k in range(2, 11):
-                held = np.array_split(np.arange(n), k)
-                if n < k or n - len(held[0]) < 2:
+                if n < k + 2:
                     with pytest.raises(DatasetError):
                         dataset.time_folds(n, k)
                     continue
+                blocks = [b.tolist() for b in np.array_split(np.arange(n), k + 1)]
                 folds = dataset.time_folds(n, k)
-                assert [e.tolist() for _, e in folds] == [h.tolist() for h in held]
+                assert len(folds) == k
+                assert [e.tolist() for _, e in folds] == blocks[1:]
+                for i, (fit, _) in enumerate(folds):
+                    assert fit.tolist() == [j for block in blocks[: i + 1] for j in block]
+
+    def test_no_fold_fits_on_a_later_day(self):
+        for n in range(1, 61):
+            for k in range(2, 11):
+                if n < k + 2:
+                    continue
+                folds = dataset.time_folds(n, k)
                 for fit, evaluate in folds:
-                    assert not set(fit.tolist()) & set(evaluate.tolist())
-                    assert sorted([*fit.tolist(), *evaluate.tolist()]) == list(range(n))
-                    assert fit.tolist() == sorted(fit.tolist())
+                    assert fit.max() < evaluate.min(), (n, k)
+                evals = np.concatenate([e for _, e in folds])
+                assert np.array_equal(evals, np.arange(evals[0], n)), (n, k)
 
     @pytest.mark.parametrize("n, k, message", [
         (10, 1, "cross-validation needs k >= 2, got 1"),

@@ -436,8 +436,9 @@ class TestGridSearch:
             for cell in grid.cells:
                 cfg = SvrConfig(kernel=KernelSpec(cell.kernel, gamma=cell.gamma), c=cell.c)
                 fold_mses, models = [], []
-                for held in np.array_split(np.arange(len(y)), k):
-                    train = np.setdiff1d(np.arange(len(y)), held)
+                blocks = np.array_split(np.arange(len(y)), k + 1)
+                for i in range(k):
+                    train, held = np.concatenate(blocks[: i + 1]), blocks[i + 1]
                     model = fit(X[train], y[train], cfg)
                     resid = predict_batch(model, X[held]) - y[held]
                     fold_mses.append(float(np.mean(resid * resid)))
@@ -463,8 +464,8 @@ class TestGridSearch:
         assert caught[0].category is ConvergenceWarning
         assert caught[0].filename == __file__
         message = str(caught[0].message)
-        assert "rbf gamma=1 C=1000 (5 of 5 folds)" in message
-        assert "linear C=1000 (5 of 5 folds)" in message
+        assert "rbf gamma=1 C=1000 (3 of 5 folds)" in message
+        assert "linear C=1000 (4 of 5 folds)" in message
         assert message.count("linear") == 1
         assert "C=1 " not in message
         assert [c.converged_folds for c in grid.cells if c.c == 1.0] == [5, 5, 5, 5]
