@@ -9,16 +9,23 @@ is a RunConfig field: ``lstm_*``, ``svr_*`` and ``poly_*`` fields are
 keys.  A value parses as the type of its field's default.  The config
 hash fingerprints every semantic field (paths excluded) and is embedded
 in each output artifact so reruns are attributable.
+
+``RunConfig`` checks the range of every setting when it is built, so
+each command refuses a bad setting before it writes a file, and the
+model code reads values that are already checked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import Field, asdict, dataclass, fields
 from pathlib import Path
 
 __all__ = ["RunConfig", "load_config", "config_hash", "ConfigError", "MODEL_NAMES"]
+
+KERNEL_KINDS = ("linear", "rbf", "sigmoid")
 
 
 class ConfigError(ValueError):
@@ -59,14 +66,10 @@ class RunConfig:
     poly_degrees: tuple[int, ...] = (2, 4, 6, 9, 11)
 
     def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.target_column not in ("close", "adj_close"):
-            raise ConfigError(f"target_column must be close or adj_close, got {self.target_column!r}")
-        if self.svr_features not in ("time", "window"):
-            raise ConfigError(f"svr_features must be time or window, got {self.svr_features!r}")
+        for name, values, ok, wording in self._ranges():
+            for value in values:
+                if not ok(value):
+                    raise ConfigError(f"{name} {wording}, got {value!r}")
         for label, seq in (("lstm_epochs", self.lstm_epochs),
                            ("svr_kernels", self.svr_kernels),
                            ("svr_gammas", self.svr_gammas),
@@ -78,6 +81,47 @@ class RunConfig:
             for i, value in enumerate(seq):
                 if value in seq[:i]:
                     raise ConfigError(f"{label} repeats {value!r}")
+
+    def _ranges(self) -> list:
+        """(name, values, condition, wording) of every setting with a
+        range; a value that fails its condition is refused as
+        ``{name} {wording}, got {value!r}``."""
+        at_least_1 = (lambda v: v >= 1, "must be >= 1")
+        positive = (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+        # beta = 1 zeroes a divisor of Adam's bias correction
+        unit = (lambda v: 0 <= v < 1, "must be in [0, 1)")
+        finite = (math.isfinite, "must be finite")
+        svr_positive = (positive[0], "must be finite and positive")
+        # gamma scales the rbf and sigmoid kernels and is ignored by linear
+        scaled = {"rbf", "sigmoid"} & set(self.svr_kernels)
+        return [
+            ("seed", (self.seed,), lambda v: v >= 0, "must be >= 0"),
+            ("target_column", (self.target_column,), lambda v: v in ("close", "adj_close"),
+             "must be close or adj_close"),
+            ("train_fraction", (self.train_fraction,), lambda v: 0 < v < 1, "must be in (0, 1)"),
+            ("window", (self.window,), *at_least_1),
+            ("hidden_size", (self.lstm_hidden_size,), *at_least_1),
+            ("epochs", self.lstm_epochs, *at_least_1),
+            ("learning_rate", (self.lstm_learning_rate,), *positive),
+            ("beta1", (self.lstm_beta1,), *unit),
+            ("beta2", (self.lstm_beta2,), *unit),
+            ("adam_eps", (self.lstm_adam_eps,), *positive),
+            ("batch_size", (self.lstm_batch_size,), *at_least_1),
+            ("kernel", self.svr_kernels, lambda v: v in KERNEL_KINDS,
+             "must be linear, rbf or sigmoid"),
+            ("gamma", self.svr_gammas, *finite),
+            ("gamma", self.svr_gammas if scaled else (), lambda v: v > 0,
+             "must be > 0 for the rbf and sigmoid kernels"),
+            ("C", self.svr_cs, *svr_positive),
+            ("epsilon", (self.svr_epsilon,), lambda v: math.isfinite(v) and v >= 0,
+             "must be finite and non-negative"),
+            ("tol", (self.svr_tol,), *svr_positive),
+            ("cross-validation needs k", (self.svr_cv_folds,), lambda v: v >= 2, ">= 2"),
+            ("coef0", (self.svr_coef0,), *finite),
+            ("svr_features", (self.svr_features,), lambda v: v in ("time", "window"),
+             "must be time or window"),
+            ("degree", self.poly_degrees, *at_least_1),
+        ]
 
 
 _CLI_ONLY = ("input_path", "out_dir")

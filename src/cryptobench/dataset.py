@@ -321,9 +321,8 @@ def inverse_scale(values, params: ScalerParams) -> np.ndarray:
 
 def chronological_split(n: int, train_fraction: float) -> int:
     """The train size of ``n`` time-ordered records: the first
-    floor(n * fraction) train, the rest test."""
-    if not (0.0 < train_fraction < 1.0):
-        raise DatasetError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    floor(n * fraction) train, the rest test.  Refuses an empty series
+    and a cut that leaves either side empty."""
     if n == 0:
         raise DatasetError("cannot split an empty series")
     cut = int(math.floor(n * train_fraction))
@@ -336,10 +335,9 @@ def chronological_split(n: int, train_fraction: float) -> int:
 
 def make_windows(values, window: int) -> WindowedDataset:
     """Slide a length-``window`` input over ``values``; the value right
-    after each window is its target."""
+    after each window is its target.  Refuses values that are not 1-D or
+    number ``window`` or fewer."""
     arr = np.asarray(values, dtype=np.float64)
-    if window < 1:
-        raise DatasetError(f"window must be positive, got {window}")
     if arr.ndim != 1:
         raise DatasetError("make_windows expects a 1-D value sequence")
     if arr.size <= window:
@@ -358,9 +356,8 @@ def time_folds(n: int, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     after the block it scores.
 
     The samples are cut into k + 1 contiguous blocks, the first n % (k + 1)
-    one sample longer; fold i fits blocks 0..i and scores block i + 1."""
-    if k < 2:
-        raise DatasetError(f"cross-validation needs k >= 2, got {k}")
+    one sample longer; fold i fits blocks 0..i and scores block i + 1.
+    Refuses n < k + 1 and a first block shorter than 2."""
     if n < k + 1:
         raise DatasetError(f"{n} samples cannot fill {k} folds")
     blocks = np.array_split(np.arange(n), k + 1)

@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .dataset import WindowedDataset
 from .evaluation import mse
 
@@ -41,7 +42,6 @@ __all__ = [
     "LstmParams",
     "AdamState",
     "Snapshot",
-    "LstmConfig",
     "init_params",
     "adam_step",
     "epoch_grid",
@@ -108,7 +108,8 @@ class LstmParams:
 @dataclass
 class AdamState:
     """Adam moment accumulators over the flattened parameter vector and
-    the step count; the constants are ``LstmConfig``'s."""
+    the step count; the constants are the ``lstm_*`` fields of a
+    ``RunConfig``."""
 
     m: np.ndarray
     v: np.ndarray
@@ -126,31 +127,6 @@ class Snapshot:
 
     params: LstmParams
     test_predictions: np.ndarray
-
-
-@dataclass(frozen=True)
-class LstmConfig:
-    """Trainer hyperparameters (architecture and optimizer constants)."""
-
-    hidden_size: int = 50
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    batch_size: int = 32
-
-    def __post_init__(self):
-        for name in ("hidden_size", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # beta = 1 zeroes a divisor of Adam's bias correction, and a step
-        # size or eps that is not finite and positive gives nan or no descent
-        for name in ("learning_rate", "adam_eps"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 def init_params(input_dim: int, hidden_size: int, rng: np.random.Generator) -> LstmParams:
@@ -274,20 +250,20 @@ def _time_major(inputs) -> np.ndarray:
 
 def adam_step(
     params: LstmParams, grads: LstmParams, state: AdamState,
-    hyper: LstmConfig = LstmConfig(),
+    cfg: RunConfig = RunConfig(),
 ) -> tuple[LstmParams, AdamState]:
     """One Adam update with bias-corrected moments and the step size,
-    betas and eps of ``hyper``; returns new objects."""
+    betas and eps of ``cfg``'s ``lstm_*`` fields; returns new objects."""
     g = grads.vec
     if g.shape != params.vec.shape:
         raise ValueError("gradient layout does not match parameter layout")
     t = state.t + 1
-    beta1, beta2 = hyper.beta1, hyper.beta2
+    beta1, beta2 = cfg.lstm_beta1, cfg.lstm_beta2
     m = beta1 * state.m + (1.0 - beta1) * g
     v = beta2 * state.v + (1.0 - beta2) * g * g
     m_hat = m / (1.0 - beta1 ** t)
     v_hat = v / (1.0 - beta2 ** t)
-    theta = params.vec - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.adam_eps)
+    theta = params.vec - cfg.lstm_learning_rate * m_hat / (np.sqrt(v_hat) + cfg.lstm_adam_eps)
     new_params = LstmParams(theta, params.input_dim, params.hidden_size)
     return new_params, AdamState(m=m, v=v, t=t)
 
@@ -317,7 +293,7 @@ def epoch_grid(
     test: WindowedDataset,
     epoch_counts: Sequence[int],
     seed: int,
-    hyper: LstmConfig = LstmConfig(),
+    cfg: RunConfig = RunConfig(),
 ) -> tuple[list[tuple[int, float]], dict[int, Snapshot], list[float]]:
     """Train up to the largest epoch count in the grid; return the test
     MSE at each count, a snapshot of the model and its test predictions
@@ -325,10 +301,11 @@ def epoch_grid(
 
     Training is full-pass mini-batch Adam, deterministic for a fixed
     seed: the windows are visited in time order (no shuffling), one Adam
-    step per batch of ``hyper.batch_size``.  A run of N epochs therefore
-    passes through exactly the states the shorter runs end on, so one
-    pass with snapshots reproduces the independent per-count runs bit
-    for bit.
+    step per batch of ``cfg.lstm_batch_size``, with the hidden size and
+    Adam constants of ``cfg``'s other ``lstm_*`` fields.  A run of N
+    epochs therefore passes through exactly the states the shorter runs
+    end on, so one pass with snapshots reproduces the independent
+    per-count runs bit for bit.
 
     Only the grid epochs are scored, by ``predict_batch`` over the test
     windows.  An epoch's training loss is the mean of its batch losses,
@@ -336,13 +313,11 @@ def epoch_grid(
     is not the MSE of the epoch's final model on the training windows.
     """
     counts = [int(e) for e in epoch_counts]
-    if not counts or any(e < 1 for e in counts):
-        raise ValueError("epoch grid must be non-empty positive integers")
     if len(data) == 0:
         raise ValueError("training dataset is empty")
 
     rng = np.random.default_rng(seed)
-    params = init_params(1, hyper.hidden_size, rng)
+    params = init_params(1, cfg.lstm_hidden_size, rng)
     adam = AdamState.fresh(params.n_params)
 
     xs_all = _time_major(data.inputs)
@@ -353,11 +328,11 @@ def epoch_grid(
     history: list[float] = []
     for epoch in range(1, max(counts) + 1):
         total = 0.0
-        for start in range(0, n, hyper.batch_size):
-            stop = start + hyper.batch_size
+        for start in range(0, n, cfg.lstm_batch_size):
+            stop = start + cfg.lstm_batch_size
             targets = ys_all[start:stop]
             grads, loss = _batch_grads(xs_all[:, start:stop], targets, params)
-            params, adam = adam_step(params, grads, adam, hyper)
+            params, adam = adam_step(params, grads, adam, cfg)
             total += loss * len(targets)
         history.append(total / n)
         if epoch in wanted:

@@ -280,16 +280,8 @@ def _fit_lstm(cfg: RunConfig, prepared: PreparedData) -> _Fit:
     from . import lstm as lstm_mod
 
     train_ds, test_ds = _boundary_windows(prepared, cfg.window)
-    hyper = lstm_mod.LstmConfig(
-        hidden_size=cfg.lstm_hidden_size,
-        learning_rate=cfg.lstm_learning_rate,
-        beta1=cfg.lstm_beta1,
-        beta2=cfg.lstm_beta2,
-        adam_eps=cfg.lstm_adam_eps,
-        batch_size=cfg.lstm_batch_size,
-    )
     rows, snapshots, history = lstm_mod.epoch_grid(
-        train_ds, test_ds, cfg.lstm_epochs, cfg.seed, hyper)
+        train_ds, test_ds, cfg.lstm_epochs, cfg.seed, cfg)
     best_epoch = min(rows, key=lambda r: (r[1], r[0]))[0]
     best = snapshots[best_epoch].params
     return _Fit(

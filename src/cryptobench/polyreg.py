@@ -54,8 +54,6 @@ def _design_matrix(x_scaled: np.ndarray, degree: int) -> np.ndarray:
 
 def fit(xs, ys, degree: int) -> PolyModel:
     """Least-squares polynomial of the given degree."""
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
@@ -102,8 +100,6 @@ def degree_sweep(
     """Fit each degree on train and score its MSE on test: the
     (degree, test_mse) rows in input order, and the fit of the argmin
     degree, ties going to the lower degree."""
-    if not degrees:
-        raise ValueError("degree list must not be empty")
     train_x, train_y = train
     test_x, test_y = test
     models = [fit(train_x, train_y, int(degree)) for degree in degrees]

@@ -14,7 +14,6 @@ holds throughout.
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -37,8 +36,6 @@ __all__ = [
     "grid_search",
 ]
 
-KERNEL_KINDS = ("linear", "rbf", "sigmoid")
-
 
 class ConvergenceWarning(UserWarning):
     """SMO hit its iteration cap; the returned model is the best iterate."""
@@ -46,21 +43,12 @@ class ConvergenceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel kind plus coefficients; gamma is ignored by ``linear``."""
+    """Kernel kind plus coefficients, whose values arrive checked by
+    ``RunConfig``; gamma is ignored by ``linear``."""
 
     kind: str
     gamma: float = 1.0
     coef0: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma}")
-        if not math.isfinite(self.coef0):
-            raise ValueError(f"coef0 must be finite, got {self.coef0}")
-        if self.kind in ("rbf", "sigmoid") and not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive for {self.kind}, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -70,14 +58,6 @@ class SvrConfig:
     epsilon: float = 0.1
     tol: float = 1e-3
     max_iter: int | None = None  # defaults to 100 * n_samples at fit time
-
-    def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"C must be finite and positive, got {self.c}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass

@@ -46,30 +46,49 @@ degrees = 2, 3
 """
 
 
-# an [lstm] setting out of range and the error that ``run lstm`` reports
-BAD_LSTM_SETTINGS = [
-    ("hidden_size = 0", "hidden_size must be >= 1, got 0"),
-    ("hidden_size = -3", "hidden_size must be >= 1, got -3"),
-    ("batch_size = 0", "batch_size must be >= 1, got 0"),
-    ("learning_rate = nan", "learning_rate must be finite and > 0, got nan"),
-    ("learning_rate = 0", "learning_rate must be finite and > 0, got 0.0"),
-    ("adam_eps = -1e-8", "adam_eps must be finite and > 0, got -1e-08"),
-    ("beta1 = 1", "beta1 must be in [0, 1), got 1.0"),
-    ("beta2 = 1", "beta2 must be in [0, 1), got 1.0"),
-    ("beta2 = inf", "beta2 must be in [0, 1), got inf"),
+# a setting out of range, as its INI section and line, and the one error
+# line every command refuses it with
+BAD_SETTINGS = [
+    ("lstm", "hidden_size = 0", "hidden_size must be >= 1, got 0"),
+    ("lstm", "hidden_size = -3", "hidden_size must be >= 1, got -3"),
+    ("lstm", "batch_size = 0", "batch_size must be >= 1, got 0"),
+    ("lstm", "learning_rate = nan", "learning_rate must be finite and > 0, got nan"),
+    ("lstm", "learning_rate = 0", "learning_rate must be finite and > 0, got 0.0"),
+    ("lstm", "adam_eps = -1e-8", "adam_eps must be finite and > 0, got -1e-08"),
+    ("lstm", "beta1 = 1", "beta1 must be in [0, 1), got 1.0"),
+    ("lstm", "beta2 = 1", "beta2 must be in [0, 1), got 1.0"),
+    ("lstm", "beta2 = inf", "beta2 must be in [0, 1), got inf"),
+    ("lstm", "epochs = 0", "epochs must be >= 1, got 0"),
+    ("svr", "cv_folds = 1", "cross-validation needs k >= 2, got 1"),
+    ("svr", "epsilon = nan", "epsilon must be finite and non-negative, got nan"),
+    ("svr", "epsilon = inf", "epsilon must be finite and non-negative, got inf"),
+    ("svr", "gammas = inf", "gamma must be finite, got inf"),
+    ("svr", "coef0 = nan", "coef0 must be finite, got nan"),
+    ("svr", "cs = inf", "C must be finite and positive, got inf"),
+    ("svr", "tol = inf", "tol must be finite and positive, got inf"),
+    ("svr", "kernels = poly", "kernel must be linear, rbf or sigmoid, got 'poly'"),
+    ("polyreg", "degrees = 0", "degree must be >= 1, got 0"),
+    ("run", "seed = -1", "seed must be >= 0, got -1"),
 ]
 
-# an [svr] setting that is not finite (or a fold count below 2) and the
-# error that ``run svr`` reports
-BAD_SVR_SETTINGS = [
-    ("cv_folds = 1", "cross-validation needs k >= 2, got 1"),
-    ("epsilon = nan", "epsilon must be finite and non-negative, got nan"),
-    ("epsilon = inf", "epsilon must be finite and non-negative, got inf"),
-    ("gammas = inf", "gamma must be finite, got inf"),
-    ("coef0 = nan", "coef0 must be finite, got nan"),
-    ("cs = inf", "C must be finite and positive, got inf"),
-    ("tol = inf", "tol must be finite and positive, got inf"),
-]
+
+def bad_settings(section):
+    """The (setting, message) rows of BAD_SETTINGS in ``section``."""
+    return [(setting, message) for at, setting, message in BAD_SETTINGS if at == section]
+
+
+# every command, its exit code on a failure and the label its error line starts with
+EVERY_COMMAND = [(["prepare"], 2, "prepare"),
+                 *((["run", name], 3, f"run {name}") for name in MODEL_NAMES),
+                 (["compare"], 4, "compare")]
+
+
+def assert_every_command_refuses(args, message, capsys):
+    """Each command run with ``args`` exits with its failure code and the
+    one error line ``<label> failed: <message>``."""
+    for command, code, label in EVERY_COMMAND:
+        assert main([*command, *args]) == code, command
+        assert capsys.readouterr().err.splitlines() == [f"{label} failed: {message}"]
 
 
 @pytest.fixture(scope="session")
@@ -282,6 +301,25 @@ class TestPrepare:
         assert prepared.train_values.max() == 1.0
 
 
+class TestBadSettings:
+    @pytest.mark.parametrize("section, setting, message", BAD_SETTINGS,
+                             ids=[f"{section}-{setting}" for section, setting, _ in BAD_SETTINGS])
+    def test_every_command_refuses_before_writing(self, tmp_path, section, setting, message,
+                                                  capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{section}]\n{setting}\n")
+        out = tmp_path / "out"
+        assert_every_command_refuses(
+            ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(out)], message, capsys)
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert_every_command_refuses(["--out-dir", str(out), "--seed", "-1"],
+                                     "seed must be >= 0, got -1", capsys)
+        assert not out.exists()
+
+
 class TestRun:
     def test_run_without_prepare_exits_3(self, tmp_path, capsys):
         assert main(["run", "poly", "--out-dir", str(tmp_path / "empty")]) == 3
@@ -400,33 +438,34 @@ class TestRun:
         assert "worker died" in err[0]
         assert left == []
 
-    @pytest.mark.parametrize("setting, message", BAD_LSTM_SETTINGS,
-                             ids=[setting for setting, _ in BAD_LSTM_SETTINGS])
-    def test_lstm_size_below_one_exits_3(self, tmp_path, setting, message, capsys):
+    def _run_after_a_good_prepare(self, tmp_path, capsys, family, setting):
+        """``run family`` with a bad [family] setting in an out-dir that a
+        valid config prepared: (exit code, stderr lines, files left)."""
         ini = tmp_path / "bad.ini"
-        ini.write_text(f"[lstm]\n{setting}\n")
+        ini.write_text(f"[{family}]\n{setting}\n")
         out = tmp_path / "out"
-        base = ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(out)]
+        base = ["--input", SAMPLE, "--out-dir", str(out)]
         assert main(["prepare", *base]) == 0
         capsys.readouterr()
-        assert main(["run", "lstm", *base]) == 3
-        err = capsys.readouterr().err
-        assert err.splitlines() == [f"run lstm failed: {message}"]
-        assert not list(out.glob("lstm_*"))
+        code = main(["run", family, *base, "--config", str(ini)])
+        left = sorted(p.name for p in out.iterdir())
+        return code, capsys.readouterr().err.splitlines(), left
 
-    @pytest.mark.parametrize("setting, message", BAD_SVR_SETTINGS,
-                             ids=[setting for setting, _ in BAD_SVR_SETTINGS])
+    @pytest.mark.parametrize("setting, message", bad_settings("lstm"),
+                             ids=[setting for setting, _ in bad_settings("lstm")])
+    def test_lstm_size_below_one_exits_3(self, tmp_path, setting, message, capsys):
+        code, err, left = self._run_after_a_good_prepare(tmp_path, capsys, "lstm", setting)
+        assert code == 3
+        assert err == [f"run lstm failed: {message}"]
+        assert left == ["prepare_meta.json", "prepared.csv"]
+
+    @pytest.mark.parametrize("setting, message", bad_settings("svr"),
+                             ids=[setting for setting, _ in bad_settings("svr")])
     def test_svr_non_finite_setting_exits_3(self, tmp_path, setting, message, capsys):
-        ini = tmp_path / "bad.ini"
-        ini.write_text(f"[svr]\n{setting}\n")
-        out = tmp_path / "out"
-        base = ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(out)]
-        assert main(["prepare", *base]) == 0
-        capsys.readouterr()
-        assert main(["run", "svr", *base]) == 3
-        err = capsys.readouterr().err
-        assert err.splitlines() == [f"run svr failed: {message}"]
-        assert not list(out.glob("svr_*"))
+        code, err, left = self._run_after_a_good_prepare(tmp_path, capsys, "svr", setting)
+        assert code == 3
+        assert err == [f"run svr failed: {message}"]
+        assert left == ["prepare_meta.json", "prepared.csv"]
 
     def test_config_mismatch_exits_3(self, full_run, tmp_path, capsys):
         out, _ = full_run

@@ -1,8 +1,38 @@
+import math
+import re
 from dataclasses import fields
 
 import pytest
 
 from cryptobench.config import ConfigError, RunConfig, config_hash, load_config
+
+
+# settings RunConfig refuses and the message it refuses them with: a row
+# for every setting with a range, the value just outside it or not finite
+OUT_OF_RANGE = [
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"target_column": "open"}, "target_column must be close or adj_close, got 'open'"),
+    ({"train_fraction": 0.0}, "train_fraction must be in (0, 1), got 0.0"),
+    ({"window": 0}, "window must be >= 1, got 0"),
+    ({"lstm_hidden_size": 0}, "hidden_size must be >= 1, got 0"),
+    ({"lstm_epochs": (10, 0)}, "epochs must be >= 1, got 0"),
+    ({"lstm_learning_rate": math.inf}, "learning_rate must be finite and > 0, got inf"),
+    ({"lstm_beta1": -0.1}, "beta1 must be in [0, 1), got -0.1"),
+    ({"lstm_beta2": 1.0}, "beta2 must be in [0, 1), got 1.0"),
+    ({"lstm_adam_eps": 0.0}, "adam_eps must be finite and > 0, got 0.0"),
+    ({"lstm_batch_size": 0}, "batch_size must be >= 1, got 0"),
+    ({"svr_kernels": ("linear", "poly")}, "kernel must be linear, rbf or sigmoid, got 'poly'"),
+    ({"svr_gammas": (0.1, -math.inf)}, "gamma must be finite, got -inf"),
+    ({"svr_kernels": ("linear", "sigmoid"), "svr_gammas": (0.1, 0.0)},
+     "gamma must be > 0 for the rbf and sigmoid kernels, got 0.0"),
+    ({"svr_cs": (1.0, 0.0)}, "C must be finite and positive, got 0.0"),
+    ({"svr_epsilon": -0.1}, "epsilon must be finite and non-negative, got -0.1"),
+    ({"svr_tol": math.nan}, "tol must be finite and positive, got nan"),
+    ({"svr_cv_folds": 1}, "cross-validation needs k >= 2, got 1"),
+    ({"svr_coef0": math.nan}, "coef0 must be finite, got nan"),
+    ({"svr_features": "pca"}, "svr_features must be time or window, got 'pca'"),
+    ({"poly_degrees": (2, 0)}, "degree must be >= 1, got 0"),
+]
 
 
 class TestRunConfig:
@@ -37,6 +67,20 @@ class TestRunConfig:
     def test_rejects_unknown_feature_mode(self):
         with pytest.raises(ConfigError):
             RunConfig(svr_features="pca")
+
+    @pytest.mark.parametrize("settings, message", OUT_OF_RANGE,
+                             ids=["-".join(settings) for settings, _ in OUT_OF_RANGE])
+    def test_refuses_each_setting_out_of_range(self, settings, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(**settings)
+
+    def test_accepts_range_edges(self):
+        RunConfig(seed=0, window=1, lstm_hidden_size=1, lstm_epochs=(1,), lstm_batch_size=1,
+                  lstm_learning_rate=5e-324, lstm_adam_eps=5e-324,
+                  lstm_beta1=0.0, lstm_beta2=0.0, svr_epsilon=0.0, svr_tol=5e-324,
+                  svr_cs=(5e-324,), svr_cv_folds=2, poly_degrees=(1,))
+        # gamma scales only the rbf and sigmoid kernels
+        RunConfig(svr_kernels=("linear",), svr_gammas=(0.0, -1.0))
 
 
 class TestLoadConfig:

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from cryptobench import lstm
+from cryptobench.config import ConfigError, RunConfig
 from cryptobench.dataset import make_windows
 from cryptobench.lstm import (
     AdamState,
-    LstmConfig,
     LstmParams,
     adam_step,
     epoch_grid,
@@ -298,7 +298,7 @@ class TestAdam:
         rng = np.random.default_rng(12)
         g = rng.normal(scale=3.0, size=11)
         state = AdamState.fresh(11)
-        beta1 = LstmConfig().beta1
+        beta1 = RunConfig().lstm_beta1
         m = beta1 * state.m + (1 - beta1) * g
         m_hat = m / (1 - beta1 ** 1)
         np.testing.assert_allclose(m_hat, g, rtol=1e-15)
@@ -322,23 +322,23 @@ def constant_dataset(value, n=60, window=5):
 class TestTrain:
     def test_deterministic_for_fixed_seed(self):
         data = make_windows(np.sin(np.linspace(0, 6, 40)), 6)
-        cfg = LstmConfig(hidden_size=6)
-        rows_a, snaps_a, hist_a = epoch_grid(data, data, [3], seed=7, hyper=cfg)
-        rows_b, snaps_b, hist_b = epoch_grid(data, data, [3], seed=7, hyper=cfg)
+        cfg = RunConfig(lstm_hidden_size=6)
+        rows_a, snaps_a, hist_a = epoch_grid(data, data, [3], seed=7, cfg=cfg)
+        rows_b, snaps_b, hist_b = epoch_grid(data, data, [3], seed=7, cfg=cfg)
         assert rows_a == rows_b and hist_a == hist_b
         np.testing.assert_array_equal(snaps_a[3].params.vec,
                                       snaps_b[3].params.vec)
 
     def test_seed_changes_history(self):
         data = make_windows(np.sin(np.linspace(0, 6, 40)), 6)
-        cfg = LstmConfig(hidden_size=6)
-        _, _, hist_a = epoch_grid(data, data, [2], seed=7, hyper=cfg)
-        _, _, hist_b = epoch_grid(data, data, [2], seed=8, hyper=cfg)
+        cfg = RunConfig(lstm_hidden_size=6)
+        _, _, hist_a = epoch_grid(data, data, [2], seed=7, cfg=cfg)
+        _, _, hist_b = epoch_grid(data, data, [2], seed=8, cfg=cfg)
         assert hist_a != hist_b
 
     def test_history_shape(self):
         data = constant_dataset(0.3, n=20, window=4)
-        rows, _, history = epoch_grid(data, data, [4], seed=0, hyper=LstmConfig(hidden_size=4))
+        rows, _, history = epoch_grid(data, data, [4], seed=0, cfg=RunConfig(lstm_hidden_size=4))
         assert len(history) == 4
         assert all(loss >= 0 for loss in history) and rows[0][1] >= 0
 
@@ -346,7 +346,7 @@ class TestTrain:
         # analytic optimum is predicting the constant; 100 epochs must
         # drive test MSE below 1e-4
         data = constant_dataset(0.5)
-        rows, _, _ = epoch_grid(data, data, [100], seed=3, hyper=LstmConfig(hidden_size=16))
+        rows, _, _ = epoch_grid(data, data, [100], seed=3, cfg=RunConfig(lstm_hidden_size=16))
         assert rows[0][1] < 1e-4
 
     def test_empty_dataset_rejected(self):
@@ -354,15 +354,13 @@ class TestTrain:
         empty = lstm.WindowedDataset(np.empty((0, 5)), np.empty(0), 5)
         with pytest.raises(ValueError, match="training dataset is empty"):
             epoch_grid(empty, data, [1], seed=0)
-        with pytest.raises(ValueError, match="positive integers"):
-            epoch_grid(data, data, [0], seed=0)
 
 
 class TestEpochGrid:
     def test_rows_follow_requested_order(self):
         data = make_windows(np.cos(np.linspace(0, 4, 30)), 5)
-        cfg = LstmConfig(hidden_size=4)
-        rows, snapshots, history = epoch_grid(data, data, [3, 1, 2], seed=2, hyper=cfg)
+        cfg = RunConfig(lstm_hidden_size=4)
+        rows, snapshots, history = epoch_grid(data, data, [3, 1, 2], seed=2, cfg=cfg)
         assert [r[0] for r in rows] == [3, 1, 2]
         assert sorted(snapshots) == [1, 2, 3]
         assert len(history) == 3
@@ -371,7 +369,7 @@ class TestEpochGrid:
         # 45 windows in batches of 8: the last batch holds 5
         series = np.cos(np.linspace(0, 6, 50))
         data = make_windows(series, 5)
-        cfg = LstmConfig(hidden_size=4, batch_size=8)
+        cfg = RunConfig(lstm_hidden_size=4, lstm_batch_size=8)
         losses = []
         real_grads = lstm._batch_grads
 
@@ -381,7 +379,7 @@ class TestEpochGrid:
             return grads, loss
 
         monkeypatch.setattr(lstm, "_batch_grads", recording_grads)
-        _, _, history = epoch_grid(data, data, [2], seed=5, hyper=cfg)
+        _, _, history = epoch_grid(data, data, [2], seed=5, cfg=cfg)
         assert len(data) == 45
         assert [size for _, size in losses] == [8, 8, 8, 8, 8, 5] * 2
         expected = []
@@ -396,8 +394,8 @@ class TestEpochGrid:
         series = np.cos(np.linspace(0, 6, 70))
         train_ds = make_windows(series[:45], 5)
         test_ds = make_windows(series[40:], 5)
-        cfg = LstmConfig(hidden_size=4, batch_size=8)
-        rows, snapshots, _ = epoch_grid(train_ds, test_ds, [1, 3], seed=5, hyper=cfg)
+        cfg = RunConfig(lstm_hidden_size=4, lstm_batch_size=8)
+        rows, snapshots, _ = epoch_grid(train_ds, test_ds, [1, 3], seed=5, cfg=cfg)
         for epoch, mse in rows:
             diff = snapshots[epoch].test_predictions - test_ds.targets
             assert float(np.mean(diff * diff)) == mse
@@ -409,7 +407,7 @@ class TestEpochGrid:
         series = np.sin(np.linspace(0, 9, 143)) * np.linspace(0.5, 1.0, 143)
         train_ds = make_windows(series[:107], 6)
         test_ds = make_windows(series[101:], 6)
-        cfg = LstmConfig(hidden_size=16, batch_size=16)
+        cfg = RunConfig(lstm_hidden_size=16, lstm_batch_size=16)
         parent = os.getpid()
         calls = []
         real_predict = lstm.predict_batch
@@ -419,17 +417,17 @@ class TestEpochGrid:
             return real_predict(params, inputs)
 
         monkeypatch.setattr(lstm, "predict_batch", counting_predict)
-        _, snapshots, history = epoch_grid(train_ds, test_ds, [4, 1, 3], seed=3, hyper=cfg)
+        _, snapshots, history = epoch_grid(train_ds, test_ds, [4, 1, 3], seed=3, cfg=cfg)
         # one call per grid epoch, in this process, on the test windows alone
         assert calls == [(True, len(test_ds))] * 3
         assert sorted(snapshots) == [1, 3, 4] and len(history) == 4
 
     def test_grid_rows_equal_independent_runs(self):
         data = make_windows(np.cos(np.linspace(0, 4, 30)), 5)
-        cfg = LstmConfig(hidden_size=4)
-        rows, snapshots, _ = epoch_grid(data, data, [1, 3], seed=11, hyper=cfg)
+        cfg = RunConfig(lstm_hidden_size=4)
+        rows, snapshots, _ = epoch_grid(data, data, [1, 3], seed=11, cfg=cfg)
         for count, mse in rows:
-            alone_rows, alone, _ = epoch_grid(data, data, [count], seed=11, hyper=cfg)
+            alone_rows, alone, _ = epoch_grid(data, data, [count], seed=11, cfg=cfg)
             assert alone_rows == [(count, mse)]
             np.testing.assert_array_equal(
                 snapshots[count].params.vec, alone[count].params.vec)
@@ -461,7 +459,7 @@ class TestParamsLayout:
         assert vec.tobytes() == params.vec.tobytes()
 
 
-# the range each LstmConfig field must lie in, as its error message says
+# the range each [lstm] setting must lie in, as RunConfig's error message says
 _CONFIG_RANGES = {"hidden_size": ">= 1", "batch_size": ">= 1",
                   "learning_rate": "finite and > 0", "adam_eps": "finite and > 0",
                   "beta1": "in [0, 1)", "beta2": "in [0, 1)"}
@@ -474,10 +472,15 @@ _CONFIG_RANGES = {"hidden_size": ">= 1", "batch_size": ">= 1",
     ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", math.nan),
 ])
 def test_config_rejects_sizes_below_one(field, value):
-    message = f"{field} must be {_CONFIG_RANGES[field]}, got {value}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        LstmConfig(**{field: value})
+    message = f"{field} must be {_CONFIG_RANGES[field]}, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RunConfig(**{f"lstm_{field}": value})
 
 
 def test_config_accepts_range_edges():
-    LstmConfig(beta1=0.0, beta2=0.0, learning_rate=5e-324, adam_eps=5e-324)
+    cfg = RunConfig(lstm_beta1=0.0, lstm_beta2=0.0,
+                    lstm_learning_rate=5e-324, lstm_adam_eps=5e-324)
+    p = LstmParams.zeros(1, 3)
+    grads = LstmParams(np.random.default_rng(4).normal(size=p.n_params), 1, 3)
+    updated, state = adam_step(p, grads, AdamState.fresh(p.n_params), cfg)
+    assert np.all(np.isfinite(updated.vec)) and np.all(np.isfinite(state.v))
