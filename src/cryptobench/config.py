@@ -12,7 +12,8 @@ in each output artifact so reruns are attributable.
 
 ``RunConfig`` checks the range of every setting when it is built, so
 each command refuses a bad setting before it writes a file, and the
-model code reads values that are already checked.
+model code reads values that are already checked.  Every message names
+the setting by its INI key, which is unique across sections.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class RunConfig:
     seed: int = 42
 
     # dataset
-    target_column: str = "close"
     train_fraction: float = 0.8
     window: int = 30
 
@@ -47,9 +47,6 @@ class RunConfig:
     lstm_hidden_size: int = 50
     lstm_epochs: tuple[int, ...] = (10, 30, 50, 80, 100)
     lstm_learning_rate: float = 1e-3
-    lstm_beta1: float = 0.9
-    lstm_beta2: float = 0.999
-    lstm_adam_eps: float = 1e-8
     lstm_batch_size: int = 32
 
     # svr
@@ -57,70 +54,55 @@ class RunConfig:
     svr_gammas: tuple[float, ...] = (0.001, 0.01, 0.1, 1.0)
     svr_cs: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
     svr_epsilon: float = 0.1
-    svr_tol: float = 1e-3
     svr_cv_folds: int = 5
-    svr_coef0: float = 0.0
     svr_features: str = "time"  # "time" or "window"
 
     # polynomial regression
     poly_degrees: tuple[int, ...] = (2, 4, 6, 9, 11)
 
     def __post_init__(self):
-        for name, values, ok, wording in self._ranges():
-            for value in values:
-                if not ok(value):
-                    raise ConfigError(f"{name} {wording}, got {value!r}")
-        for label, seq in (("lstm_epochs", self.lstm_epochs),
-                           ("svr_kernels", self.svr_kernels),
-                           ("svr_gammas", self.svr_gammas),
-                           ("svr_cs", self.svr_cs),
-                           ("poly_degrees", self.poly_degrees)):
+        for name, ok, wording in self._ranges():
+            value = getattr(self, name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if not ok(v):
+                    raise ConfigError(f"{_key(name)} {wording}, got {v!r}")
+        for f in fields(self):
+            seq = getattr(self, f.name)
+            if not isinstance(seq, tuple):
+                continue
             if len(seq) == 0:
-                raise ConfigError(f"{label} must not be empty")
+                raise ConfigError(f"{_key(f.name)} must not be empty")
             # a repeat would fit and write the same grid point twice
             for i, value in enumerate(seq):
                 if value in seq[:i]:
-                    raise ConfigError(f"{label} repeats {value!r}")
+                    raise ConfigError(f"{_key(f.name)} repeats {value!r}")
 
     def _ranges(self) -> list:
-        """(name, values, condition, wording) of every setting with a
-        range; a value that fails its condition is refused as
-        ``{name} {wording}, got {value!r}``."""
+        """(field, condition, wording) of every setting with a range; a
+        value that fails its condition, or an entry of a list that does,
+        is refused as ``{INI key} {wording}, got {value!r}``."""
         at_least_1 = (lambda v: v >= 1, "must be >= 1")
-        positive = (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
-        # beta = 1 zeroes a divisor of Adam's bias correction
-        unit = (lambda v: 0 <= v < 1, "must be in [0, 1)")
-        finite = (math.isfinite, "must be finite")
-        svr_positive = (positive[0], "must be finite and positive")
         # gamma scales the rbf and sigmoid kernels and is ignored by linear
-        scaled = {"rbf", "sigmoid"} & set(self.svr_kernels)
+        scaled = bool({"rbf", "sigmoid"} & set(self.svr_kernels))
         return [
-            ("seed", (self.seed,), lambda v: v >= 0, "must be >= 0"),
-            ("target_column", (self.target_column,), lambda v: v in ("close", "adj_close"),
-             "must be close or adj_close"),
-            ("train_fraction", (self.train_fraction,), lambda v: 0 < v < 1, "must be in (0, 1)"),
-            ("window", (self.window,), *at_least_1),
-            ("hidden_size", (self.lstm_hidden_size,), *at_least_1),
-            ("epochs", self.lstm_epochs, *at_least_1),
-            ("learning_rate", (self.lstm_learning_rate,), *positive),
-            ("beta1", (self.lstm_beta1,), *unit),
-            ("beta2", (self.lstm_beta2,), *unit),
-            ("adam_eps", (self.lstm_adam_eps,), *positive),
-            ("batch_size", (self.lstm_batch_size,), *at_least_1),
-            ("kernel", self.svr_kernels, lambda v: v in KERNEL_KINDS,
-             "must be linear, rbf or sigmoid"),
-            ("gamma", self.svr_gammas, *finite),
-            ("gamma", self.svr_gammas if scaled else (), lambda v: v > 0,
+            ("seed", lambda v: v >= 0, "must be >= 0"),
+            ("train_fraction", lambda v: 0 < v < 1, "must be in (0, 1)"),
+            ("window", *at_least_1),
+            ("lstm_hidden_size", *at_least_1),
+            ("lstm_epochs", *at_least_1),
+            ("lstm_learning_rate", lambda v: math.isfinite(v) and v > 0,
+             "must be finite and > 0"),
+            ("lstm_batch_size", *at_least_1),
+            ("svr_kernels", lambda v: v in KERNEL_KINDS, "must be linear, rbf or sigmoid"),
+            ("svr_gammas", math.isfinite, "must be finite"),
+            ("svr_gammas", lambda v: v > 0 or not scaled,
              "must be > 0 for the rbf and sigmoid kernels"),
-            ("C", self.svr_cs, *svr_positive),
-            ("epsilon", (self.svr_epsilon,), lambda v: math.isfinite(v) and v >= 0,
+            ("svr_cs", lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
+            ("svr_epsilon", lambda v: math.isfinite(v) and v >= 0,
              "must be finite and non-negative"),
-            ("tol", (self.svr_tol,), *svr_positive),
-            ("cross-validation needs k", (self.svr_cv_folds,), lambda v: v >= 2, ">= 2"),
-            ("coef0", (self.svr_coef0,), *finite),
-            ("svr_features", (self.svr_features,), lambda v: v in ("time", "window"),
-             "must be time or window"),
-            ("degree", self.poly_degrees, *at_least_1),
+            ("svr_cv_folds", lambda v: v >= 2, "must be >= 2"),
+            ("svr_features", lambda v: v in ("time", "window"), "must be time or window"),
+            ("poly_degrees", *at_least_1),
         ]
 
 
@@ -131,14 +113,20 @@ _PREFIXES = {"lstm": "lstm", "svr": "svr", "poly": "polyreg"}
 MODEL_NAMES = tuple(_PREFIXES)
 
 
+def _key(name: str) -> str:
+    """The INI key of the RunConfig field ``name``."""
+    prefix, _, key = name.partition("_")
+    return key if prefix in _PREFIXES else name
+
+
 def _schema() -> dict[str, dict[str, Field]]:
     schema: dict[str, dict[str, Field]] = {}
     for f in fields(RunConfig):
-        prefix, _, key = f.name.partition("_")
-        if prefix in _PREFIXES:
-            schema.setdefault(_PREFIXES[prefix], {})[key] = f
-        elif f.name not in _CLI_ONLY:
-            schema.setdefault("run" if f.name == "seed" else "dataset", {})[f.name] = f
+        if f.name in _CLI_ONLY:
+            continue
+        section = _PREFIXES.get(f.name.partition("_")[0],
+                                "run" if f.name == "seed" else "dataset")
+        schema.setdefault(section, {})[_key(f.name)] = f
     return schema
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "chronological_split",
     "make_windows",
     "time_folds",
-    "column_values",
 ]
 
 
@@ -284,13 +283,6 @@ def clean(records: Sequence[OhlcvRecord]) -> tuple[OhlcvRecord, ...]:
     if not kept:
         raise DatasetError("no records left after dropping missing fields")
     return kept
-
-
-def column_values(records: Sequence[OhlcvRecord], column: str = "close") -> np.ndarray:
-    """One numeric column as float64, with NaN for missing."""
-    if column not in _PRICE_FIELDS + ("volume",):
-        raise DatasetError(f"no such value column: {column!r}")
-    return np.array([getattr(r, column) for r in records], dtype=np.float64)
 
 
 def fit_scaler(values) -> ScalerParams:

@@ -58,6 +58,9 @@ __all__ = [
 # in chunks of 256, and 26-30 ms and 14.6 MB in one pass.
 _PREDICT_CHUNK = 64
 
+# Adam's beta1, beta2 and eps, the defaults of Kingma & Ba (ICLR 2015)
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def _vector_size(d: int, h: int) -> int:
     return 4 * h * (d + h + 1) + h + 1
@@ -108,8 +111,7 @@ class LstmParams:
 @dataclass
 class AdamState:
     """Adam moment accumulators over the flattened parameter vector and
-    the step count; the constants are the ``lstm_*`` fields of a
-    ``RunConfig``."""
+    the step count."""
 
     m: np.ndarray
     v: np.ndarray
@@ -252,18 +254,18 @@ def adam_step(
     params: LstmParams, grads: LstmParams, state: AdamState,
     cfg: RunConfig = RunConfig(),
 ) -> tuple[LstmParams, AdamState]:
-    """One Adam update with bias-corrected moments and the step size,
-    betas and eps of ``cfg``'s ``lstm_*`` fields; returns new objects."""
+    """One Adam update with bias-corrected moments, the step size
+    ``cfg.lstm_learning_rate`` and the module's betas and eps; returns
+    new objects."""
     g = grads.vec
     if g.shape != params.vec.shape:
         raise ValueError("gradient layout does not match parameter layout")
     t = state.t + 1
-    beta1, beta2 = cfg.lstm_beta1, cfg.lstm_beta2
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    theta = params.vec - cfg.lstm_learning_rate * m_hat / (np.sqrt(v_hat) + cfg.lstm_adam_eps)
+    m = _BETA1 * state.m + (1.0 - _BETA1) * g
+    v = _BETA2 * state.v + (1.0 - _BETA2) * g * g
+    m_hat = m / (1.0 - _BETA1 ** t)
+    v_hat = v / (1.0 - _BETA2 ** t)
+    theta = params.vec - cfg.lstm_learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     new_params = LstmParams(theta, params.input_dim, params.hidden_size)
     return new_params, AdamState(m=m, v=v, t=t)
 
@@ -292,17 +294,18 @@ def epoch_grid(
     data: WindowedDataset,
     test: WindowedDataset,
     epoch_counts: Sequence[int],
-    seed: int,
-    cfg: RunConfig = RunConfig(),
+    cfg: RunConfig,
 ) -> tuple[list[tuple[int, float]], dict[int, Snapshot], list[float]]:
-    """Train up to the largest epoch count in the grid; return the test
-    MSE at each count, a snapshot of the model and its test predictions
-    at each count, and the training loss of every epoch.
+    """Train up to the largest count in ``epoch_counts``; return the
+    test MSE at each count, a snapshot of the model and its test
+    predictions at each count, and the training loss of every epoch.
+    The pipeline passes ``cfg.lstm_epochs``; the grid stays a parameter
+    because perfbench's ``lstm.epoch_grid`` counter reads it by name.
 
-    Training is full-pass mini-batch Adam, deterministic for a fixed
-    seed: the windows are visited in time order (no shuffling), one Adam
-    step per batch of ``cfg.lstm_batch_size``, with the hidden size and
-    Adam constants of ``cfg``'s other ``lstm_*`` fields.  A run of N
+    Training is full-pass mini-batch Adam, deterministic for
+    ``cfg.seed``: the windows are visited in time order (no shuffling),
+    one Adam step per batch of ``cfg.lstm_batch_size``, with the hidden
+    size and step size of ``cfg``'s other ``lstm_*`` fields.  A run of N
     epochs therefore passes through exactly the states the shorter runs
     end on, so one pass with snapshots reproduces the independent
     per-count runs bit for bit.
@@ -316,7 +319,7 @@ def epoch_grid(
     if len(data) == 0:
         raise ValueError("training dataset is empty")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     params = init_params(1, cfg.lstm_hidden_size, rng)
     adam = AdamState.fresh(params.n_params)
 

@@ -161,7 +161,7 @@ def prepare(cfg: RunConfig) -> dict:
     cleaned = ds.clean(records)
     split_index = ds.chronological_split(len(cleaned), cfg.train_fraction)
 
-    values = ds.column_values(cleaned, cfg.target_column)
+    values = np.array([rec.close for rec in cleaned], dtype=np.float64)
     scaler = ds.fit_scaler(values[:split_index])
     normalized = ds.scale(values, scaler)
 
@@ -181,7 +181,6 @@ def prepare(cfg: RunConfig) -> dict:
         "format_version": FORMAT_VERSION,
         "config_hash": cfg_hash,
         "seed": cfg.seed,
-        "target_column": cfg.target_column,
         "train_fraction": cfg.train_fraction,
         "window": cfg.window,
         "n_records": len(cleaned),
@@ -202,15 +201,15 @@ def prepare(cfg: RunConfig) -> dict:
 
 
 def load_prepared(out_dir: str | Path, cfg: RunConfig | None = None) -> PreparedData:
-    """The prepared series in ``out_dir``; with ``cfg``, its target column,
-    train fraction and window must be the ones prepare ran with."""
+    """The prepared series in ``out_dir``; with ``cfg``, its train
+    fraction and window must be the ones prepare ran with."""
     out = Path(out_dir)
     meta_path = out / "prepare_meta.json"
     meta = _read_json(meta_path, fields={
         "scaler": _OBJECT, "split_index": _INTEGER, "n_records": _INTEGER,
         "dataset_fingerprint": _STRING})
     if cfg is not None:
-        for key in ("target_column", "train_fraction", "window"):
+        for key in ("train_fraction", "window"):
             if meta.get(key) != getattr(cfg, key):
                 raise PipelineError(
                     f"prepared artifacts used {key}={meta.get(key)!r} but the current "
@@ -280,8 +279,7 @@ def _fit_lstm(cfg: RunConfig, prepared: PreparedData) -> _Fit:
     from . import lstm as lstm_mod
 
     train_ds, test_ds = _boundary_windows(prepared, cfg.window)
-    rows, snapshots, history = lstm_mod.epoch_grid(
-        train_ds, test_ds, cfg.lstm_epochs, cfg.seed, cfg)
+    rows, snapshots, history = lstm_mod.epoch_grid(train_ds, test_ds, cfg.lstm_epochs, cfg)
     best_epoch = min(rows, key=lambda r: (r[1], r[0]))[0]
     best = snapshots[best_epoch].params
     return _Fit(
@@ -327,17 +325,14 @@ def _fit_svr(cfg: RunConfig, prepared: PreparedData) -> _Fit:
     grid = svr_mod.grid_search(
         x_train, y_train,
         kernels=cfg.svr_kernels, gammas=cfg.svr_gammas, cs=cfg.svr_cs,
-        folds=ds.time_folds(len(y_train), cfg.svr_cv_folds),
-        epsilon=cfg.svr_epsilon, tol=cfg.svr_tol, coef0=cfg.svr_coef0)
+        folds=ds.time_folds(len(y_train), cfg.svr_cv_folds), epsilon=cfg.svr_epsilon)
     best_cell = grid.best
-    spec = svr_mod.KernelSpec(kind=best_cell.kernel, gamma=best_cell.gamma,
-                              coef0=cfg.svr_coef0)
+    spec = svr_mod.KernelSpec(kind=best_cell.kernel, gamma=best_cell.gamma)
     # grid cells keep the stock iteration budget (non-convergence there is
     # a warning by design); the single winning refit gets a roomy cap
     refit_iters = max(100 * len(y_train), 1_000_000)
     model = svr_mod.fit(x_train, y_train, svr_mod.SvrConfig(
-        kernel=spec, c=best_cell.c, epsilon=cfg.svr_epsilon, tol=cfg.svr_tol,
-        max_iter=refit_iters))
+        kernel=spec, c=best_cell.c, epsilon=cfg.svr_epsilon, max_iter=refit_iters))
     return _Fit(
         tables={"svr_grid.csv": (["kernel", "gamma", "c", "mse"],
                                  [(c.kernel, c.gamma, c.c, c.cv_mse) for c in grid.cells])},
@@ -354,7 +349,7 @@ def _fit_svr(cfg: RunConfig, prepared: PreparedData) -> _Fit:
         }},
         model={
             "features": cfg.svr_features,
-            "kernel": {"kind": spec.kind, "gamma": spec.gamma, "coef0": spec.coef0},
+            "kernel": {"kind": spec.kind, "gamma": spec.gamma},
             "c": best_cell.c,
             "epsilon": cfg.svr_epsilon,
             "bias": model.bias,

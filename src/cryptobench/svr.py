@@ -43,12 +43,13 @@ class ConvergenceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel kind plus coefficients, whose values arrive checked by
-    ``RunConfig``; gamma is ignored by ``linear``."""
+    """Kernel kind and its scale gamma, checked by ``RunConfig``:
+    linear x.z, rbf exp(-gamma ||x - z||^2), sigmoid tanh(gamma x.z).
+    ``linear`` ignores gamma; the sigmoid's offset is LIBSVM's default,
+    0 (Chang & Lin, ACM TIST 2(3), 2011)."""
 
     kind: str
     gamma: float = 1.0
-    coef0: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class SvrConfig:
     kernel: KernelSpec
     c: float = 1.0
     epsilon: float = 0.1
-    tol: float = 1e-3
+    tol: float = 1e-3  # LIBSVM's default; the QP-oracle tests fit tighter
     max_iter: int | None = None  # defaults to 100 * n_samples at fit time
 
 
@@ -109,7 +110,7 @@ def gram_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
         sq = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :] - 2.0 * inner
         np.maximum(sq, 0.0, out=sq)
         return np.exp(-spec.gamma * sq)
-    return np.tanh(spec.gamma * inner + spec.coef0)
+    return np.tanh(spec.gamma * inner)
 
 
 def _margins(c_bound):
@@ -372,14 +373,12 @@ def grid_search(
     cs: Sequence[float],
     folds: Sequence[tuple[np.ndarray, np.ndarray]],
     epsilon: float = 0.1,
-    tol: float = 1e-3,
-    coef0: float = 0.0,
 ) -> SvrGrid:
     """Exhaustive kernel x gamma x C sweep scored by cross-validation MSE
     over ``folds``, the (fit_indices, eval_indices) pairs that
-    ``dataset.time_folds`` cuts.  The best cell is the argmin of
-    cv_mse with ties resolved by grid order (kernel, then gamma, then C
-    as listed).
+    ``dataset.time_folds`` cuts, each fit stopping at ``SvrConfig``'s
+    default tol.  The best cell is the argmin of cv_mse with ties
+    resolved by grid order (kernel, then gamma, then C as listed).
 
     Each distinct fit is cross-validated once, keyed by (kind, gamma,
     C).  The linear kernel ignores gamma, so its key drops gamma: the
@@ -419,11 +418,11 @@ def grid_search(
     cell_keys: list[tuple[str, float, float, tuple]] = []
     for kind in kernels:
         for gamma in gammas:
-            spec = KernelSpec(kind=kind, gamma=float(gamma), coef0=coef0)
+            spec = KernelSpec(kind=kind, gamma=float(gamma))
             for c in cs:
                 key = (kind, None if kind == "linear" else float(gamma), float(c))
                 if key not in fits:
-                    fits[key] = SvrConfig(kernel=spec, c=float(c), epsilon=epsilon, tol=tol)
+                    fits[key] = SvrConfig(kernel=spec, c=float(c), epsilon=epsilon)
                 cell_keys.append((kind, float(gamma), float(c), key))
 
     tasks = [(X, y, fold, cfg) for cfg in fits.values() for fold in folds]

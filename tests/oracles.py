@@ -198,7 +198,7 @@ def qp_reference_solve(K, y, c_bound, eps, max_iter=120_000):
 
 def kernel_eval(spec, x, z) -> float:
     """K(x, z) for a KernelSpec ``spec``.  linear: x.z; rbf:
-    exp(-gamma ||x-z||^2); sigmoid: tanh(gamma x.z + coef0)."""
+    exp(-gamma ||x-z||^2); sigmoid: tanh(gamma x.z)."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if x.shape != z.shape:
@@ -208,7 +208,7 @@ def kernel_eval(spec, x, z) -> float:
     if spec.kind == "rbf":
         diff = x - z
         return float(np.exp(-spec.gamma * (diff @ diff)))
-    return float(np.tanh(spec.gamma * (x @ z) + spec.coef0))
+    return float(np.tanh(spec.gamma * (x @ z)))
 
 
 def dual_objective(K, y, beta, epsilon: float) -> float:

@@ -41,7 +41,7 @@ GRADCHECK_COMBOS = [(h, w) for h in (2, 3, 5) for w in (2, 4, 8)]
 def _fixture_prepared():
     records = ds.clean(ds.parse_csv(SAMPLE.read_text()))
     n_train = ds.chronological_split(len(records), 0.8)
-    closes = ds.column_values(records, "close")
+    closes = np.array([r.close for r in records])
     scaler = ds.fit_scaler(closes[:n_train])
     normalized = ds.scale(closes, scaler)
     return normalized, n_train, scaler
@@ -160,7 +160,7 @@ def test_criterion_5_linear_gamma_invariance():
         warnings.simplefilter("ignore", ConvergenceWarning)
         grid = svr_mod.grid_search(t[:split], normalized[:split],
                                    ("rbf", "sigmoid", "linear"), gammas, cs,
-                                   folds=ds.time_folds(split, 5), epsilon=0.1, tol=1e-3)
+                                   folds=ds.time_folds(split, 5), epsilon=0.1)
     assert len(grid.cells) == 48
     linear = [c for c in grid.cells if c.kernel == "linear"]
     assert len(linear) == 16

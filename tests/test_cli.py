@@ -46,29 +46,32 @@ degrees = 2, 3
 """
 
 
-# a setting out of range, as its INI section and line, and the one error
-# line every command refuses it with
+# an INI line every command refuses, as its section and line, and the one
+# error line it is refused with, where {ini} stands for the config path:
+# a setting out of range, or a key that was once a setting and is now
+# refused like any unknown key, whatever its value
 BAD_SETTINGS = [
     ("lstm", "hidden_size = 0", "hidden_size must be >= 1, got 0"),
     ("lstm", "hidden_size = -3", "hidden_size must be >= 1, got -3"),
     ("lstm", "batch_size = 0", "batch_size must be >= 1, got 0"),
     ("lstm", "learning_rate = nan", "learning_rate must be finite and > 0, got nan"),
     ("lstm", "learning_rate = 0", "learning_rate must be finite and > 0, got 0.0"),
-    ("lstm", "adam_eps = -1e-8", "adam_eps must be finite and > 0, got -1e-08"),
-    ("lstm", "beta1 = 1", "beta1 must be in [0, 1), got 1.0"),
-    ("lstm", "beta2 = 1", "beta2 must be in [0, 1), got 1.0"),
-    ("lstm", "beta2 = inf", "beta2 must be in [0, 1), got inf"),
     ("lstm", "epochs = 0", "epochs must be >= 1, got 0"),
-    ("svr", "cv_folds = 1", "cross-validation needs k >= 2, got 1"),
+    ("svr", "cv_folds = 1", "cv_folds must be >= 2, got 1"),
     ("svr", "epsilon = nan", "epsilon must be finite and non-negative, got nan"),
     ("svr", "epsilon = inf", "epsilon must be finite and non-negative, got inf"),
-    ("svr", "gammas = inf", "gamma must be finite, got inf"),
-    ("svr", "coef0 = nan", "coef0 must be finite, got nan"),
-    ("svr", "cs = inf", "C must be finite and positive, got inf"),
-    ("svr", "tol = inf", "tol must be finite and positive, got inf"),
-    ("svr", "kernels = poly", "kernel must be linear, rbf or sigmoid, got 'poly'"),
-    ("polyreg", "degrees = 0", "degree must be >= 1, got 0"),
+    ("svr", "gammas = inf", "gammas must be finite, got inf"),
+    ("svr", "cs = inf", "cs must be finite and positive, got inf"),
+    ("svr", "kernels = poly", "kernels must be linear, rbf or sigmoid, got 'poly'"),
+    ("polyreg", "degrees = 0", "degrees must be >= 1, got 0"),
     ("run", "seed = -1", "seed must be >= 0, got -1"),
+    ("dataset", "target_column = adj_close", "{ini}: unknown key 'target_column' in [dataset]"),
+    ("lstm", "adam_eps = -1e-8", "{ini}: unknown key 'adam_eps' in [lstm]"),
+    ("lstm", "beta1 = 1", "{ini}: unknown key 'beta1' in [lstm]"),
+    ("lstm", "beta2 = 1", "{ini}: unknown key 'beta2' in [lstm]"),
+    ("lstm", "beta2 = inf", "{ini}: unknown key 'beta2' in [lstm]"),
+    ("svr", "coef0 = nan", "{ini}: unknown key 'coef0' in [svr]"),
+    ("svr", "tol = inf", "{ini}: unknown key 'tol' in [svr]"),
 ]
 
 
@@ -283,7 +286,7 @@ class TestPrepare:
         out = tmp_path / "out"
         assert main(["prepare", "--input", SAMPLE, "--config", str(ini),
                      "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == ["prepare failed: poly_degrees repeats 3"]
+        assert capsys.readouterr().err.splitlines() == ["prepare failed: degrees repeats 3"]
         assert not out.exists()
 
     def test_default_input_is_bundled_sample(self, tmp_path):
@@ -310,7 +313,8 @@ class TestBadSettings:
         ini.write_text(f"[{section}]\n{setting}\n")
         out = tmp_path / "out"
         assert_every_command_refuses(
-            ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(out)], message, capsys)
+            ["--input", SAMPLE, "--config", str(ini), "--out-dir", str(out)],
+            message.format(ini=ini), capsys)
         assert not out.exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys):
@@ -348,7 +352,7 @@ class TestRun:
         assert isinstance(model["n_iter"], int) and model["n_iter"] > 0
         assert isinstance(model["kkt_violation"], float)
         if model["converged"]:
-            assert model["kkt_violation"] <= RunConfig().svr_tol
+            assert model["kkt_violation"] <= svr_mod.SvrConfig.tol
 
     def test_lstm_outputs(self, full_run):
         out, _ = full_run
@@ -456,7 +460,7 @@ class TestRun:
     def test_lstm_size_below_one_exits_3(self, tmp_path, setting, message, capsys):
         code, err, left = self._run_after_a_good_prepare(tmp_path, capsys, "lstm", setting)
         assert code == 3
-        assert err == [f"run lstm failed: {message}"]
+        assert err == [f"run lstm failed: {message.format(ini=tmp_path / 'bad.ini')}"]
         assert left == ["prepare_meta.json", "prepared.csv"]
 
     @pytest.mark.parametrize("setting, message", bad_settings("svr"),
@@ -464,7 +468,7 @@ class TestRun:
     def test_svr_non_finite_setting_exits_3(self, tmp_path, setting, message, capsys):
         code, err, left = self._run_after_a_good_prepare(tmp_path, capsys, "svr", setting)
         assert code == 3
-        assert err == [f"run svr failed: {message}"]
+        assert err == [f"run svr failed: {message.format(ini=tmp_path / 'bad.ini')}"]
         assert left == ["prepare_meta.json", "prepared.csv"]
 
     def test_config_mismatch_exits_3(self, full_run, tmp_path, capsys):
@@ -762,13 +766,13 @@ class TestCompare:
         assert main(["prepare", "--out-dir", str(out), "--seed", "7"]) == 0
         assert main(["run", "poly", "--out-dir", str(out), "--seed", "7"]) == 0
         assert main(["compare", "--out-dir", str(out), "--subset-ok"]) == 0
-        stamp = ["# config_hash=942629c22a73", "# seed=7"]
+        stamp = ["# config_hash=461f4cbb52d9", "# seed=7"]
         for name in ("comparison.csv", "predictions_poly.csv"):
             assert (out / name).read_text().splitlines()[:2] == stamp
         report = json.loads((out / "report.json").read_text())
-        assert (report["config_hash"], report["seed"]) == ("942629c22a73", 7)
+        assert (report["config_hash"], report["seed"]) == ("461f4cbb52d9", 7)
         assert ((out / "report.txt").read_text().splitlines()[0]
-                == "model comparison (config 942629c22a73, seed 7)")
+                == "model comparison (config 461f4cbb52d9, seed 7)")
 
     @pytest.mark.parametrize("flags", [["--seed", "4"], []], ids=["seed", "config"])
     def test_mismatched_config_exits_4(self, full_run, tmp_path, capsys, flags):

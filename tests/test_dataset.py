@@ -258,13 +258,6 @@ class TestMakeWindows:
             np.testing.assert_array_equal(ds.inputs[:, -1], values[w - 1 : -1])
 
 
-def test_column_values_nan_for_missing():
-    series = (make_record(1), make_record(2, close=None))
-    values = dataset.column_values(series, "close")
-    assert values[0] == 100.0
-    assert np.isnan(values[1])
-
-
 class TestTimeFolds:
     # k + 1 blocks of n samples, the first ceil(n / (k + 1)) long: it holds
     # 2 training points exactly when n >= k + 2

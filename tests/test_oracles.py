@@ -63,7 +63,7 @@ class TestKernelEval:
             assert kernel_eval(KernelSpec("rbf", gamma=gamma), x, x) == 1.0
 
     def test_sigmoid_orthogonal_points(self):
-        spec = KernelSpec("sigmoid", gamma=0.5, coef0=0.0)
+        spec = KernelSpec("sigmoid", gamma=0.5)
         assert kernel_eval(spec, np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
 
     def test_rbf_hand_value(self):

@@ -52,7 +52,7 @@ class TestKernelEval:
         X = rng.normal(size=(5, 3))
         Z = rng.normal(size=(4, 3))
         for spec in (KernelSpec("linear"), KernelSpec("rbf", gamma=0.7),
-                     KernelSpec("sigmoid", gamma=0.3, coef0=0.2)):
+                     KernelSpec("sigmoid", gamma=0.3)):
             K = gram_matrix(spec, X, Z)
             for i in range(5):
                 for j in range(4):
@@ -327,7 +327,7 @@ class TestGridSearch:
     def test_full_grid_has_48_cells_in_order(self):
         X, y = self._data()
         grid = grid_search(X, y, ("rbf", "sigmoid", "linear"), self.GAMMAS, self.CS,
-                           folds=time_folds(len(y), 5), epsilon=0.1, tol=1e-3)
+                           folds=time_folds(len(y), 5), epsilon=0.1)
         assert len(grid.cells) == 48
         expected = [
             (kind, gamma, c)
@@ -453,7 +453,7 @@ class TestGridSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             grid = grid_search(t, y, ("rbf", "linear"), (0.1,), (1.0, 1000.0),
-                               folds=time_folds(len(y), 5), epsilon=0.001, tol=1e-6)
+                               folds=time_folds(len(y), 5), epsilon=0.001)
         best = grid.best
         assert best.kernel == "linear"
         assert best.c == 1000.0
