@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 # Each handler imports the pipeline (and with it numpy) itself, and the
 # pipeline imports a model family only to run or load it, so a command
@@ -99,9 +98,8 @@ def _cmd_compare(args) -> int:
     cfg = resolve_config(args)
     # a config given on the command line must be the one the results used
     given = args.config or args.seed is not None
-    pipeline.run_compare(cfg.out_dir, models=models, subset_ok=args.subset_ok,
-                         expected_hash=config_hash(cfg) if given else None)
-    print((Path(cfg.out_dir) / "report.txt").read_text(), end="")
+    print(pipeline.run_compare(cfg.out_dir, models=models, subset_ok=args.subset_ok,
+                               expected_hash=config_hash(cfg) if given else None), end="")
     return EXIT_OK
 
 

@@ -97,7 +97,7 @@ class RunConfig:
             ("svr_gammas", math.isfinite, "must be finite"),
             ("svr_gammas", lambda v: v > 0 or not scaled,
              "must be > 0 for the rbf and sigmoid kernels"),
-            ("svr_cs", lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
+            ("svr_cs", lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
             ("svr_epsilon", lambda v: math.isfinite(v) and v >= 0,
              "must be finite and non-negative"),
             ("svr_cv_folds", lambda v: v >= 2, "must be >= 2"),

@@ -8,12 +8,12 @@ Artifact layout under ``out_dir``:
     lstm_history.csv      epoch,train_loss       (batch-loss mean per epoch)
     {model}_model.json    bit-exact serialized winning model
     {model}_result.json   scores + winning config + prediction dump
+    predictions_{model}.csv   date,actual,predicted  (raw prices)
     svr_grid.csv          kernel,gamma,c,mse     (forward-chaining CV MSE)
     svr_best.json         winning grid cell + grid work totals
     poly_degrees.csv      degree,mse             (test MSE)
     comparison.csv        model,mse_normalized,mse_raw
     report.json / report.txt
-    predictions_{model}.csv   date,actual,predicted  (raw prices)
 
 Every file embeds the config hash and seed (the comparison files carry
 those of the results they rank); floats are written with ``repr`` so
@@ -21,9 +21,10 @@ reruns with the same config are byte-identical.
 
 ``run_model`` writes every family's artifacts: each family only runs its
 sweep and refit and returns tables, model fields, its winning config and
-normalized test predictions; the stamping, the scoring on both scales
-and the result file are shared.  A family's module is imported by the
-function that runs it, so each command loads only its own.
+normalized test predictions; the stamping, the scoring on both scales,
+the result file and the predictions table are shared.  A family's module
+is imported by the function that runs it, so each command loads only its
+own.  Every command writes all its files through ``_write_files``.
 """
 
 from __future__ import annotations
@@ -66,23 +67,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(path: Path, header: list[str], rows, cfg_hash: str, seed: int):
+def _table(header: list[str], rows, cfg_hash: str, seed: int) -> str:
     lines = [f"# config_hash={cfg_hash}", f"# seed={seed}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _write_files(out: Path, files: dict[str, str]):
+    """Write each text to its file name under ``out``, all of them or,
+    if a write fails, none: the files already written are removed."""
+    written = []
+    try:
+        for name, text in files.items():
+            written.append(out / name)
+            written[-1].write_text(text, encoding="utf-8")
+    except BaseException:
+        for path in written:
+            if path.is_file():
+                path.unlink()
+        raise
 
 
 # JSON types of a field, matched exactly: JSON true and false load as
 # bools, and a bool is an int to isinstance
 _STRING, _INTEGER = ((str,), "a string"), ((int,), "an integer")
 _NUMBER, _OBJECT = ((int, float), "a number"), ((dict,), "an object")
-_LIST = ((list,), "a list")
 
 
 def _check_fields(payload, fields: dict, where: str) -> dict:
@@ -175,8 +189,6 @@ def prepare(cfg: RunConfig) -> dict:
     cfg_hash = config_hash(cfg)
     rows = [(i, rec.date.isoformat(), float(normalized[i]))
             for i, rec in enumerate(cleaned)]
-    _write_table(out / "prepared.csv", ["index", "date", "normalized_close"],
-                 rows, cfg_hash, cfg.seed)
     meta = {
         "format_version": FORMAT_VERSION,
         "config_hash": cfg_hash,
@@ -190,7 +202,10 @@ def prepare(cfg: RunConfig) -> dict:
         "scaler": {"min": scaler.min, "max": scaler.max},
         "dataset_fingerprint": fingerprint,
     }
-    _write_json(out / "prepare_meta.json", meta)
+    _write_files(out, {
+        "prepared.csv": _table(["index", "date", "normalized_close"], rows, cfg_hash, cfg.seed),
+        "prepare_meta.json": _json(meta),
+    })
     return {
         "n_parsed": len(records),
         "n_records": len(cleaned),
@@ -408,46 +423,45 @@ def run_model(cfg: RunConfig, name: str) -> dict:
 
     stamp = {"format_version": FORMAT_VERSION, "config_hash": config_hash(cfg),
              "seed": cfg.seed}
-    for file_name, (header, rows) in fit.tables.items():
-        _write_table(out / file_name, header, rows, stamp["config_hash"], cfg.seed)
-    for file_name, fields in fit.records.items():
-        _write_json(out / file_name, stamp | fields)
     scaler = prepared.scaler
-    _write_json(out / f"{name}_model.json", stamp | fit.model | {
-        "kind": name, "scaler": {"min": scaler.min, "max": scaler.max}})
-
     actual_raw = ds.inverse_scale(prepared.test_values, scaler)
     preds_raw = ds.inverse_scale(fit.preds_norm, scaler)
-    test_dates = prepared.dates[prepared.split_index:]
+    predictions = [(date.isoformat(), float(a), float(p)) for date, a, p in
+                   zip(prepared.dates[prepared.split_index:], actual_raw, preds_raw)]
     payload = stamp | {
         "model": name,
         "dataset_fingerprint": prepared.fingerprint,
         "mse_normalized": evaluation.mse(prepared.test_values, fit.preds_norm),
         "mse_raw": evaluation.mse(actual_raw, preds_raw),
         "config_summary": fit.summary,
-        "predictions": [
-            {"date": date.isoformat(), "actual": float(a), "predicted": float(p)}
-            for date, a, p in zip(test_dates, actual_raw, preds_raw)
-        ],
+        "predictions": [{"date": date, "actual": a, "predicted": p}
+                        for date, a, p in predictions],
     }
-    _write_json(out / f"{name}_result.json", payload)
+    _write_files(out, {
+        **{file_name: _table(header, rows, stamp["config_hash"], cfg.seed)
+           for file_name, (header, rows) in fit.tables.items()},
+        **{file_name: _json(stamp | fields) for file_name, fields in fit.records.items()},
+        f"{name}_model.json": _json(stamp | fit.model | {
+            "kind": name, "scaler": {"min": scaler.min, "max": scaler.max}}),
+        f"predictions_{name}.csv": _table(["date", "actual", "predicted"], predictions,
+                                          stamp["config_hash"], cfg.seed),
+        f"{name}_result.json": _json(payload),  # last: the file compare reads
+    })
     return payload
 
 
 # --- comparison --------------------------------------------------------
 
-# The fields of a ``{model}_result.json`` that ``run_compare`` reads, and
-# those of each entry of its predictions.
+# The fields of a ``{model}_result.json`` that ``run_compare`` reads
 _RESULT_FIELDS = {"dataset_fingerprint": _STRING, "config_hash": _STRING,
                   "seed": _INTEGER, "mse_normalized": _NUMBER, "mse_raw": _NUMBER,
-                  "config_summary": _OBJECT, "predictions": _LIST}
-_PREDICTION_FIELDS = {"date": _STRING, "actual": _NUMBER, "predicted": _NUMBER}
+                  "config_summary": _OBJECT}
 
 
 def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False,
-                expected_hash: str | None = None) -> list[evaluation.ModelResult]:
-    """Assemble the cross-model report from the per-model result files and
-    return the ranked results, the winner first.
+                expected_hash: str | None = None) -> str:
+    """Rank the per-model result files by their scores, write the
+    comparison files and return the text report.
 
     The results must agree on dataset, config hash and seed, and the
     report is stamped with the fingerprint, hash and seed they carry.  With
@@ -484,21 +498,15 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
             f"config and seed hash to {expected_hash}")
 
     # every value is checked before the first file is written
-    results, prediction_rows = [], {}
+    results = []
     for name, payload in available.items():
-        path = out / f"{name}_result.json"
-        for i, entry in enumerate(payload["predictions"]):
-            _check_fields(entry, _PREDICTION_FIELDS,
-                          f"malformed result {path}: predictions[{i}]")
-        with _malformed(path, "result"):  # a negative or non-finite MSE
+        with _malformed(out / f"{name}_result.json", "result"):  # a bad MSE
             results.append(evaluation.ModelResult(
                 model_name=name,
                 mse_normalized=payload["mse_normalized"],
                 mse_raw=payload["mse_raw"],
                 config_summary=payload["config_summary"],
             ))
-        prediction_rows[name] = [(p["date"], p["actual"], p["predicted"])
-                                 for p in payload["predictions"]]
     ranked = evaluation.compare(results)
     winner = ranked[0].model_name
 
@@ -527,27 +535,12 @@ def run_compare(out_dir: str | Path, models=MODEL_NAMES, subset_ok: bool = False
     for r in ranked:
         lines.append(f"{r.model_name:<12} {r.mse_normalized:>20.10g} {r.mse_raw:>20.10g}")
     lines += ["", f"winner: {winner}"]
-    files = [
-        (out / "comparison.csv", _write_table,
-         (["model", "mse_normalized", "mse_raw"],
-          [(r.model_name, r.mse_normalized, r.mse_raw) for r in ranked],
-          cfg_hash, seed)),
-        (out / "report.json", _write_json, (summary,)),
-        (out / "report.txt", Path.write_text, ("\n".join(lines) + "\n", "utf-8")),
-        *((out / f"predictions_{name}.csv", _write_table,
-           (["date", "actual", "predicted"], rows, cfg_hash, seed))
-          for name, rows in prediction_rows.items()),
-    ]
-    # a compare that fails part-way removes what it wrote, so it leaves
-    # none of its files
-    written = []
-    try:
-        for path, write, args in files:
-            written.append(path)
-            write(path, *args)
-    except BaseException:
-        for path in written:
-            if path.is_file():
-                path.unlink()
-        raise
-    return ranked
+    report = "\n".join(lines) + "\n"
+    _write_files(out, {
+        "comparison.csv": _table(["model", "mse_normalized", "mse_raw"],
+                                 [(r.model_name, r.mse_normalized, r.mse_raw) for r in ranked],
+                                 cfg_hash, seed),
+        "report.json": _json(summary),
+        "report.txt": report,
+    })
+    return report

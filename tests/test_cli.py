@@ -61,7 +61,7 @@ BAD_SETTINGS = [
     ("svr", "epsilon = nan", "epsilon must be finite and non-negative, got nan"),
     ("svr", "epsilon = inf", "epsilon must be finite and non-negative, got inf"),
     ("svr", "gammas = inf", "gammas must be finite, got inf"),
-    ("svr", "cs = inf", "cs must be finite and positive, got inf"),
+    ("svr", "cs = inf", "cs must be finite and > 0, got inf"),
     ("svr", "kernels = poly", "kernels must be linear, rbf or sigmoid, got 'poly'"),
     ("polyreg", "degrees = 0", "degrees must be >= 1, got 0"),
     ("run", "seed = -1", "seed must be >= 0, got -1"),
@@ -84,6 +84,15 @@ def bad_settings(section):
 EVERY_COMMAND = [(["prepare"], 2, "prepare"),
                  *((["run", name], 3, f"run {name}") for name in MODEL_NAMES),
                  (["compare"], 4, "compare")]
+
+
+# the files each command writes, all of them or, if it fails, none
+COMMAND_FILES = {
+    "prepare": {"prepared.csv", "prepare_meta.json"},
+    "run poly": {"poly_degrees.csv", "poly_model.json", "poly_result.json",
+                 "predictions_poly.csv"},
+    "compare": {"comparison.csv", "report.json", "report.txt"},
+}
 
 
 def assert_every_command_refuses(args, message, capsys):
@@ -549,7 +558,7 @@ class TestRunModelStamps:
             assert payload["format_version"] == pipeline.FORMAT_VERSION, file_name
             assert payload["config_hash"] == meta["config_hash"], file_name
             assert payload["seed"] == meta["seed"], file_name
-        for file_name in tables:
+        for file_name in [*tables, f"predictions_{name}.csv"]:
             head = (out / file_name).read_text().splitlines()[:2]
             assert head == [f"# config_hash={meta['config_hash']}",
                             f"# seed={meta['seed']}"], file_name
@@ -702,12 +711,6 @@ class TestCompare:
         assert str(path) in capsys.readouterr().err
         assert not (copy / "report.json").exists()
 
-    @staticmethod
-    def _first_prediction(**fields):
-        """An edit that overrides ``fields`` on the payload's first prediction."""
-        return lambda payload: payload | {"predictions": [
-            payload["predictions"][0] | fields, *payload["predictions"][1:]]}
-
     @pytest.mark.parametrize("edit", [
         lambda payload: {},
         lambda payload: [1],
@@ -718,13 +721,9 @@ class TestCompare:
         lambda payload: payload | {"seed": True},
         lambda payload: payload | {"mse_normalized": True},
         lambda payload: payload | {"mse_raw": True},
-        _first_prediction(actual="not a number"),
-        _first_prediction(date=17),
-        _first_prediction(predicted=None),
         lambda payload: payload | {"config_summary": [["degree", 2]]},
     ], ids=["empty_object", "list", "missing_mse_raw", "negative_mse", "list_fingerprint",
-            "bool_seed", "bool_mse_normalized", "bool_mse_raw", "string_actual", "int_date",
-            "null_predicted", "list_config_summary"])
+            "bool_seed", "bool_mse_normalized", "bool_mse_raw", "list_config_summary"])
     def test_malformed_result_exits_4(self, full_run, tmp_path, capsys, edit):
         copy, args = _private_copy(full_run, tmp_path)
         path = copy / "svr_result.json"
@@ -784,8 +783,7 @@ class TestCompare:
         result = json.loads((copy / "poly_result.json").read_text())
         assert len(err) == 1 and err[0].startswith("compare failed:")
         assert result["config_hash"] in err[0] and given in err[0]
-        assert not any((copy / name).exists() for name in (
-            "report.json", "report.txt", "comparison.csv", "predictions_poly.csv"))
+        assert not any((copy / name).exists() for name in COMMAND_FILES["compare"])
 
     def test_missing_config_exits_4(self, full_run, tmp_path, capsys):
         out, _ = full_run
@@ -816,6 +814,35 @@ class TestDeterminism:
         assert names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestCommandFiles:
+    def test_each_command_adds_exactly_its_files(self, tmp_path, small_ini):
+        out = tmp_path / "out"
+        base = ["--input", SAMPLE, "--config", small_ini, "--out-dir", str(out)]
+        expected = set()
+        for label, files in COMMAND_FILES.items():
+            flags = ["--subset-ok"] if label == "compare" else []
+            assert main([*label.split(), *base, *flags]) == 0
+            expected |= files
+            assert {path.name for path in out.iterdir()} == expected, label
+
+    @pytest.mark.parametrize("label, name, code", [
+        ("prepare", "prepare_meta.json", 2),
+        ("run poly", "poly_result.json", 3),
+    ])  # compare's case is TestCompare::test_file_that_is_a_directory_exits_4
+    def test_file_that_is_a_directory_leaves_none_of_its_files(
+            self, full_run, tmp_path, capsys, label, name, code):
+        copy, args = _private_copy(full_run, tmp_path)
+        for other in COMMAND_FILES[label]:  # so that any left is this run's
+            (copy / other).unlink(missing_ok=True)
+        path = copy / name
+        path.mkdir()
+        assert main([*label.split(), *args]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{label} failed:"), err
+        assert str(path) in err[0]
+        assert not any((copy / other).exists() for other in COMMAND_FILES[label] - {name})
 
 
 class TestBenchmarkHooks:

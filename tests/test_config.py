@@ -21,7 +21,7 @@ OUT_OF_RANGE = [
     ({"svr_gammas": (0.1, -math.inf)}, "gammas must be finite, got -inf"),
     ({"svr_kernels": ("linear", "sigmoid"), "svr_gammas": (0.1, 0.0)},
      "gammas must be > 0 for the rbf and sigmoid kernels, got 0.0"),
-    ({"svr_cs": (1.0, 0.0)}, "cs must be finite and positive, got 0.0"),
+    ({"svr_cs": (1.0, 0.0)}, "cs must be finite and > 0, got 0.0"),
     ({"svr_epsilon": -0.1}, "epsilon must be finite and non-negative, got -0.1"),
     ({"svr_cv_folds": 1}, "cv_folds must be >= 2, got 1"),
     ({"svr_features": "pca"}, "features must be time or window, got 'pca'"),

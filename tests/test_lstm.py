@@ -296,13 +296,13 @@ class TestAdam:
         assert np.all(new_state.v >= 0.0)
 
     def test_first_step_bias_correction_recovers_gradient(self):
-        rng = np.random.default_rng(12)
-        g = rng.normal(scale=3.0, size=11)
-        state = AdamState.fresh(11)
-        beta1 = lstm._BETA1
-        m = beta1 * state.m + (1 - beta1) * g
-        m_hat = m / (1 - beta1 ** 1)
-        np.testing.assert_allclose(m_hat, g, rtol=1e-15)
+        # bias correction makes the first step's moments g and g * g, so the
+        # step is -lr * g / (|g| + eps); g = 1 could not tell |g| from g * g
+        p = LstmParams.zeros(1, 2)
+        g = np.random.default_rng(12).normal(scale=3.0, size=p.n_params)
+        updated, _ = adam_step(p, LstmParams(g, 1, 2), AdamState.fresh(p.n_params))
+        lr = RunConfig().lstm_learning_rate
+        np.testing.assert_allclose(updated.vec, -lr * g / (np.abs(g) + 1e-8), rtol=1e-12)
 
     def test_two_steps_use_the_published_constants(self):
         # Kingma & Ba's beta1 0.9, beta2 0.999 and eps 1e-8, written out:
@@ -482,7 +482,7 @@ _CONFIG_RANGES = {"hidden_size": ">= 1", "batch_size": ">= 1",
     ("hidden_size", 0), ("hidden_size", -3), ("batch_size", 0), ("batch_size", -1),
     ("learning_rate", math.nan), ("learning_rate", 0.0), ("learning_rate", math.inf),
 ])
-def test_config_rejects_sizes_below_one(field, value):
+def test_config_rejects_out_of_range_lstm_settings(field, value):
     message = f"{field} must be {_CONFIG_RANGES[field]}, got {value!r}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         RunConfig(**{f"lstm_{field}": value})
