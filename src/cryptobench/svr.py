@@ -14,10 +14,14 @@ holds throughout.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pickle
+import select
+import signal
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import BinaryIO, NoReturn, Sequence
 
 import numpy as np
 
@@ -336,24 +340,6 @@ def predict_batch(model: SvrModel, X) -> np.ndarray:
     return K.T @ model.dual_coefs + model.bias
 
 
-# The grid's task table in a forked worker, set by ``_inherit_tasks`` when
-# the worker starts; the calling process never sets it.
-_worker_tasks: list = []
-
-# Tasks per worker round trip: a few, so that the pipe carries fewer
-# messages, while the costly first tasks still spread over the workers.
-_CHUNKSIZE = 2
-
-
-def _inherit_tasks(tasks) -> None:
-    global _worker_tasks
-    _worker_tasks = tasks
-
-
-def _fold_fit_at(index: int) -> tuple[float, bool, int]:
-    return _fold_fit(_worker_tasks[index])
-
-
 def _fold_fit(task) -> tuple[float, bool, int]:
     """Fit one distinct config on a fold's fit indices and score it on its
     eval indices: (fold MSE, converged, SMO iterations)."""
@@ -363,6 +349,98 @@ def _fold_fit(task) -> tuple[float, bool, int]:
         model = fit(X[fit_at], y[fit_at], cfg)
     fold_mse = mse(y[eval_at], predict_batch(model, X[eval_at]))
     return fold_mse, model.converged, model.n_iter
+
+
+def _serve(tasks, queue_in: BinaryIO, queue_out: BinaryIO, result_write: int) -> NoReturn:
+    """A forked grid worker's whole life: run ``_fold_fit`` on each 4-byte
+    task index read from the queue until EOF, then pickle ``(None,
+    [(index, result), ...])``, or ``(exception, None)`` if a task raised,
+    to its result pipe and exit.  It never returns into the caller's
+    stack, so a failure anywhere, pickling included, still ends it, and
+    with exit status 1."""
+    code = 1
+    try:
+        queue_out.close()  # else the queue never reaches EOF
+        done, error = [], None
+        try:
+            while record := queue_in.read(4):
+                index = int.from_bytes(record, "little")
+                done.append((index, _fold_fit(tasks[index])))
+        except Exception as exc:
+            done, error = None, exc
+        with open(result_write, "wb") as sink:
+            sink.write(pickle.dumps((error, done)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_forked(tasks, workers: int) -> list:
+    """``_fold_fit`` of every task, in task order, computed by ``workers``
+    forked processes; the calling process runs none.
+
+    The workers inherit ``tasks`` through the fork and take task indices
+    from one pipe, so the queue balances itself.  The queue is written
+    only after every fork, since a queue longer than the pipe's buffer
+    (16,384 indices) would block a write made before, and in chunks of
+    ``select.PIPE_BUF`` bytes, which a pipe writes whole, so no index is
+    split, not even by a signal.  Each worker sends its results once,
+    through its own pipe.  An exception a task raised reaches the caller
+    unchanged, a worker that exits without sending all its results raises
+    ``ChildProcessError``, and any worker not yet reaped when this
+    returns or raises is killed and reaped.
+    """
+    # SMO iterations grow with C, so the costliest tasks go first
+    order = sorted(range(len(tasks)), key=lambda index: -tasks[index][3].c)
+    queue = b"".join(index.to_bytes(4, "little") for index in order)
+    step = select.PIPE_BUF // 4 * 4
+    read_end, write_end = os.pipe()
+    queue_in, queue_out = open(read_end, "rb", buffering=0), open(write_end, "wb", buffering=0)
+    children: dict[int, BinaryIO] = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(tasks, queue_in, queue_out, write_end)
+            except BaseException:
+                os.close(read_end)
+                raise
+            finally:
+                os.close(write_end)
+            children[pid] = open(read_end, "rb")
+        queue_in.close()
+        # a worker whose task raised stops reading; if all have stopped,
+        # their payloads say why
+        with contextlib.suppress(BrokenPipeError):
+            for start in range(0, len(queue), step):
+                queue_out.write(queue[start:start + step])
+        queue_out.close()
+        results = [None] * len(tasks)
+        for pid, pipe in list(children.items()):
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            # a worker exits 0 only after sending its whole payload, so
+            # this also catches one killed part-way through sending it
+            if status:
+                raise ChildProcessError(
+                    f"an SVR grid worker died (pid {pid}) before sending its results")
+            error, done = pickle.loads(payload)
+            if error is not None:
+                raise error
+            for index, result in done:
+                results[index] = result
+        return results
+    finally:
+        queue_in.close()
+        queue_out.close()
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def grid_search(
@@ -387,17 +465,14 @@ def grid_search(
     keeps its own gamma.  Every (distinct fit, fold) task runs through
     ``fit`` and ``predict_batch``.
 
-    The tasks share nothing, so they run on one forked worker process
-    per usable CPU (``os.sched_getaffinity``, capped at the task count),
-    or in this process when only one CPU is usable.  The workers inherit
-    the task table through the fork (the pool's initializer arguments are
-    not pickled), so each task sent is an index, in chunks of
-    ``_CHUNKSIZE``.  SMO iterations grow with C, so the indices go out
-    by C descending, grid order within a C: the iteration-capped fits
-    start first instead of leaving one worker busy at the end.  There
-    is no knob: the results are put back in grid order and averaged
-    exactly as a serial loop would, so the grid is bit-identical either
-    way.  An
+    The tasks share nothing, so ``_run_forked`` runs them on one forked
+    worker process per usable CPU (``os.sched_getaffinity``, capped at
+    the task count), or this process runs them when only one CPU is
+    usable.  The workers take the tasks by C descending, grid order
+    within a C: SMO iterations grow with C, so the iteration-capped fits
+    start first instead of leaving one worker busy at the end.  There is
+    no knob: the results are put back in grid order and averaged exactly
+    as a serial loop would, so the grid is bit-identical either way.  An
     exception raised in a worker reaches the caller unchanged; a worker
     that dies raises ``ChildProcessError``.  Python >= 3.12 warns when
     it forks a process whose BLAS threads are alive.  Code that wraps
@@ -428,23 +503,7 @@ def grid_search(
     tasks = [(X, y, fold, cfg) for cfg in fits.values() for fold in folds]
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     if workers > 1:
-        # imported here, so that importing the package does not load them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # SMO iterations grow with C, so the costliest tasks go first
-        order = sorted(range(len(tasks)), key=lambda index: -tasks[index][3].c)
-        results = [None] * len(tasks)
-        try:
-            with ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork"),
-                    initializer=_inherit_tasks, initargs=(tasks,)) as pool:
-                done = pool.map(_fold_fit_at, order, chunksize=_CHUNKSIZE)
-                for index, result in zip(order, done):
-                    results[index] = result
-        except BrokenProcessPool as exc:
-            raise ChildProcessError(f"an SVR grid worker died: {exc}") from exc
+        results = _run_forked(tasks, workers)
     else:
         results = list(map(_fold_fit, tasks))
 

@@ -6,6 +6,7 @@ and pins its tolerance explicitly.  Run with:
     pytest tests/test_acceptance.py -v -s
 """
 
+import json
 import time
 import warnings
 from pathlib import Path
@@ -246,6 +247,44 @@ def test_criterion_8_structural_reproduction(tmp_path):
     assert elapsed < 300.0, f"pipeline pair took {elapsed:.1f} s"
     print(f"\nACCEPTANCE 8 PASS: 5-row epoch table, 48-cell grid, 5-row degree "
           f"table, 3-row comparison; two runs byte-identical; {elapsed:.1f}s total")
+
+
+def test_price_scale_invariance(tmp_path):
+    """Every price x2: selections and normalized MSEs keep their bits, and
+    each raw MSE is exactly 4x.  Doubling is exact in binary floating
+    point, and min-max scaling cancels it."""
+    start = time.monotonic()
+    header, *rows = SAMPLE.read_text().splitlines()
+    doubled = tmp_path / "doubled.csv"
+    lines = [header]
+    for row in rows:
+        date, *prices, volume = row.split(",")
+        lines.append(",".join([date, *(repr(2.0 * float(p)) for p in prices), volume]))
+    doubled.write_text("\n".join(lines) + "\n")
+
+    outs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        for name, csv in (("a", SAMPLE), ("b", doubled)):
+            out = tmp_path / name
+            base = ["--input", str(csv), "--out-dir", str(out), "--seed", "42"]
+            assert main(["prepare", *base]) == 0
+            for model in ("lstm", "svr", "poly"):
+                assert main(["run", model, *base]) == 0
+            assert main(["compare", *base]) == 0
+            outs.append(out)
+    a, b = outs
+    for name in ("prepared.csv", "lstm_epochs.csv", "svr_grid.csv", "poly_degrees.csv",
+                 "lstm_history.csv", "svr_best.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    for model in ("lstm", "svr", "poly"):
+        one, two = (json.loads((out / f"{model}_result.json").read_text()) for out in outs)
+        assert one["mse_normalized"] == two["mse_normalized"], model
+        assert two["mse_raw"] / one["mse_raw"] == 4.0, model
+
+    elapsed = time.monotonic() - start
+    print(f"\nPRICE SCALE PASS: prices x2 keep every selection and normalized MSE, "
+          f"raw MSEs x4 exactly; {elapsed:.1f}s")
 
 
 def test_criterion_9_reference_ranking():

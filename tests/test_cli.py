@@ -414,6 +414,14 @@ class TestRun:
                 == (180, 34_575, 4))
         assert (best["kernel"], best["gamma"], best["c"]) == ("sigmoid", 0.1, 100.0)
 
+    def test_predictions_carry_the_prepared_hash_and_seed(self, tmp_path):
+        # made with seed 7 and the default config
+        out = tmp_path / "out"
+        assert main(["prepare", "--out-dir", str(out), "--seed", "7"]) == 0
+        assert main(["run", "poly", "--out-dir", str(out), "--seed", "7"]) == 0
+        assert ((out / "predictions_poly.csv").read_text().splitlines()[:2]
+                == ["# config_hash=461f4cbb52d9", "# seed=7"])
+
     def _failing_svr_grid(self, tmp_path, small_ini, capsys, monkeypatch, fail):
         """``run svr`` on two workers whose ``fit`` calls ``fail``; returns
         the exit code, the stderr lines and the ``svr_*`` files left."""
@@ -442,6 +450,8 @@ class TestRun:
         assert code == 3
         assert err == ["run svr failed: worker fit failed"]
         assert left == []
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_svr_worker_death_exits_3(self, tmp_path, small_ini, capsys, monkeypatch):
         code, err, left = self._failing_svr_grid(tmp_path, small_ini, capsys, monkeypatch,
@@ -450,6 +460,17 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("run svr failed: "), err
         assert "worker died" in err[0]
         assert left == []
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_two_cpu_svr_run_leaves_no_process(self, tmp_path, small_ini, monkeypatch):
+        out = tmp_path / "out"
+        base = ["--input", SAMPLE, "--config", small_ini, "--out-dir", str(out)]
+        assert main(["prepare", *base]) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["run", "svr", *base]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def _run_after_a_good_prepare(self, tmp_path, capsys, family, setting):
         """``run family`` with a bad [family] setting in an out-dir that a
@@ -765,9 +786,8 @@ class TestCompare:
         assert main(["prepare", "--out-dir", str(out), "--seed", "7"]) == 0
         assert main(["run", "poly", "--out-dir", str(out), "--seed", "7"]) == 0
         assert main(["compare", "--out-dir", str(out), "--subset-ok"]) == 0
-        stamp = ["# config_hash=461f4cbb52d9", "# seed=7"]
-        for name in ("comparison.csv", "predictions_poly.csv"):
-            assert (out / name).read_text().splitlines()[:2] == stamp
+        assert ((out / "comparison.csv").read_text().splitlines()[:2]
+                == ["# config_hash=461f4cbb52d9", "# seed=7"])
         report = json.loads((out / "report.json").read_text())
         assert (report["config_hash"], report["seed"]) == ("461f4cbb52d9", 7)
         assert ((out / "report.txt").read_text().splitlines()[0]
@@ -896,6 +916,15 @@ class TestImportGraph:
         base = ["--config", small_ini, "--out-dir", str(tmp_path / "out")]
         assert main(["prepare", *base]) == 0
         code, loaded = modules_after("run", "lstm", *base)
+        assert code == 0
+        assert not loaded & {"multiprocessing", "concurrent.futures"}
+
+    def test_run_svr_leaves_process_pools_unloaded(self, tmp_path, small_ini):
+        # the grid forks its own workers.  As for the LSTM, only a host
+        # with two or more usable CPUs can fail this
+        base = ["--config", small_ini, "--out-dir", str(tmp_path / "out")]
+        assert main(["prepare", *base]) == 0
+        code, loaded = modules_after("run", "svr", *base)
         assert code == 0
         assert not loaded & {"multiprocessing", "concurrent.futures"}
 

@@ -1,4 +1,5 @@
 import os
+import signal
 import warnings
 
 import numpy as np
@@ -395,6 +396,37 @@ class TestGridSearch:
         assert ((serial.fits, serial.smo_iterations, serial.capped_fits)
                 == (pooled.fits, pooled.smo_iterations, pooled.capped_fits))
         assert serial.capped_fits > 0
+
+    def test_queue_longer_than_a_pipe_buffer(self, monkeypatch):
+        # 64 gammas x 64 Cs x 5 folds = 20,480 four-byte task indices,
+        # more than the 16,384 that a 64 KiB pipe holds, so a queue written
+        # before the workers exist blocks for ever: the alarm fails that
+        def stub(task):
+            _, _, (fit_at, eval_at), cfg = task
+            return cfg.kernel.gamma * cfg.c + len(fit_at), True, int(eval_at[0])
+
+        def deadlocked(signum, frame):
+            raise TimeoutError("grid_search did not return within 60 s")
+
+        monkeypatch.setattr(svr, "_fold_fit", stub)
+        X, y = self._data()
+        args = (X, y, ("rbf",), [2.0 ** -i for i in range(64)],
+                [float(c) for c in range(1, 65)], time_folds(len(y), 5))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        previous = signal.signal(signal.SIGALRM, deadlocked)
+        signal.alarm(60)
+        try:
+            forked = grid_search(*args)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = grid_search(*args)
+        assert forked.fits == serial.fits == 20_480
+        assert forked.cells == serial.cells
+        assert forked.smo_iterations == serial.smo_iterations
 
     def test_every_cell_matches_its_own_fold_loop(self):
         # time feature at n = 40: the linear and rbf C = 1000 folds hit the
